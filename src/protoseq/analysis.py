@@ -25,6 +25,7 @@ from math import comb, gcd
 from typing import Sequence
 
 from .core import (
+    DEFAULT_BUDGET,
     BinarySequence,
     BudgetExceededError,
     ProtoseqError,
@@ -63,10 +64,6 @@ __all__ = [
     "verify_witness",
     "find_pairwise_si_not_si",
 ]
-
-#: Default cap on slot evaluations per verdict.
-DEFAULT_BUDGET = 10**8
-
 
 class PreconditionError(ProtoseqError):
     """An operation's stated precondition does not hold for the inputs.
@@ -602,10 +599,6 @@ def _pair_correlation_constant(m1: int, m2: int, period: int) -> bool:
     return True
 
 
-def _mask_sequence(mask: int, period: int) -> BinarySequence:
-    return BinarySequence(tuple((mask >> t) & 1 for t in range(period)))
-
-
 def find_pairwise_si_not_si(
     candidates: int,
     seed: int,
@@ -650,11 +643,7 @@ def find_pairwise_si_not_si(
         if not constant:
             hits.append(
                 SequenceSet(
-                    (
-                        _mask_sequence(m1, L),
-                        _mask_sequence(m2, L),
-                        _mask_sequence(m3, L),
-                    )
+                    tuple(BinarySequence.from_mask(m, L) for m in (m1, m2, m3))
                 )
             )
     return SearchResult(

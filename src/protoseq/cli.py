@@ -445,7 +445,13 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
+    except (
+        simulator.SessionConfigError,
+        analysis.StructuralContradictionError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except (analysis.PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,13 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import BinarySequence, SequenceSet
+from .core import (
+    DEFAULT_BUDGET,
+    BinarySequence,
+    BudgetExceededError,
+    SequenceSet,
+    full_mask,
+)
 
 __all__ = [
     "as_duty_factors",
@@ -120,18 +126,49 @@ def construct_si(
     """Build a shift-invariant set realizing the given duty factors exactly.
 
     The common period is the product of the duty denominators; schedule i
-    is its array read out column by column (rows top to bottom inside a
-    column) and repeated periodically.
+    is its ``build_arrays`` array read out column by column (rows top to
+    bottom inside a column) and repeated periodically.  Each schedule's
+    mask is built directly, in time linear in the period, and the random
+    fill draws from the seeded generator in ``build_arrays``' order.  Sets
+    of more than ``DEFAULT_BUDGET`` slots in total are refused before
+    anything is allocated.
     """
     duty = as_duty_factors(duty)
+    if fill not in ("left", "random"):
+        raise ValueError("fill must be 'left' or 'random'")
     L = min_period_bound(duty)
-    arrays = build_arrays(duty, fill=fill, seed=seed)
+    if len(duty) * L > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{len(duty)} schedules of period {L} exceed the budget of "
+            f"{DEFAULT_BUDGET} slots"
+        )
+    rng = random.Random(seed)
     sequences = []
-    for array in arrays:
-        rows = len(array)
-        cols = len(array[0])
-        base = [array[r][c] for c in range(cols) for r in range(rows)]
-        span = rows * cols
-        bits = tuple(base[t % span] for t in range(L))
-        sequences.append(BinarySequence(bits))
+    rows = 1
+    for f in duty:
+        n, d = f.numerator, f.denominator
+        span = rows * d
+        # column-major readout: cell (r, c) of the array is slot c * rows + r
+        if fill == "left":
+            block = full_mask(n * rows)
+        else:
+            readout = bytearray(b"0") * span
+            for r in range(rows):
+                for c in rng.sample(range(d), n):
+                    readout[c * rows + r] = ord("1")
+            block = int(readout[::-1], 2)
+        sequences.append(BinarySequence.from_mask(_repeat(block, span, L), L))
+        rows = span
     return SequenceSet(tuple(sequences))
+
+
+def _repeat(block: int, span: int, period: int) -> int:
+    """A ``span``-slot mask repeated up to ``period``, a multiple of span.
+
+    Doubling the copies keeps the cost linear in the period.
+    """
+    mask = block
+    while span < period:
+        mask |= mask << span
+        span *= 2
+    return mask & full_mask(period)

@@ -6,7 +6,7 @@ Because senders get no feedback, each schedule is observed under an
 unknown cyclic shift, and every quantity of interest here is a count of
 slots taken over one common period under such shifts.
 
-All counting is exact.  Schedules are mirrored into arbitrary-precision
+All counting is exact.  Schedules are stored as arbitrary-precision
 integer bitmasks (slot t lives at bit t), so correlating two shifted
 schedules is an AND plus a popcount, and per-slot transmitter totals are
 accumulated in bit-sliced counter planes.  Ratios are
@@ -27,6 +27,7 @@ Rational = Fraction
 
 __all__ = [
     "Rational",
+    "DEFAULT_BUDGET",
     "ProtoseqError",
     "BudgetExceededError",
     "BinarySequence",
@@ -46,6 +47,10 @@ __all__ = [
     "parse_sequence_set",
     "format_sequence_set",
 ]
+
+
+#: Default cap on slot evaluations per verdict, and on the slots a build holds.
+DEFAULT_BUDGET = 10**8
 
 
 class ProtoseqError(Exception):
@@ -136,50 +141,66 @@ def exact_count_mask(planes: Sequence[int], j: int, period: int) -> int:
 # domain types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BinarySequence:
-    """One user's periodic 0/1 schedule; slot t repeats every ``period`` slots."""
+    """One user's periodic 0/1 schedule; slot t repeats every ``period`` slots.
 
-    bits: tuple[int, ...]
+    The schedule is stored only as ``mask``, an integer with slot t at
+    bit t; ``bits``, ``ones`` and the text form are derived from it.
+    ``BinarySequence(bits)`` builds one from any iterable of 0/1 entries.
+    """
 
-    def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
-        if not bits:
-            raise ValueError("a schedule needs at least one slot")
+    period: int
+    mask: int
+
+    def __init__(self, bits: Iterable[int]) -> None:
+        bits = tuple(int(b) for b in bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError("schedule entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        text = "".join(map(str, bits))
+        self._store(int(text[::-1] or "0", 2), len(text))
+
+    def _store(self, mask: int, period: int) -> None:
+        if period < 1:
+            raise ValueError("a schedule needs at least one slot")
+        if mask < 0 or mask >> period:
+            raise ValueError(f"mask has bits outside the period {period}")
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def from_mask(cls, mask: int, period: int) -> "BinarySequence":
+        """Schedule of ``period`` slots whose slot t is bit t of ``mask``."""
+        seq = cls.__new__(cls)
+        seq._store(int(mask), int(period))
+        return seq
 
     @classmethod
     def from_string(cls, text: str) -> "BinarySequence":
-        return cls(tuple(int(c) for c in text.strip()))
+        """Schedule from a '0'/'1' string, slot 0 first."""
+        text = text.strip()
+        if text.strip("01"):
+            raise ValueError("schedule entries must be 0 or 1")
+        return cls.from_mask(int(text[::-1] or "0", 2), len(text))
+
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """Slot values 0/1, slot 0 first."""
+        return tuple(map(int, self.to_string()))
 
     @property
-    def period(self) -> int:
-        return len(self.bits)
-
-    @cached_property
     def ones(self) -> int:
-        return sum(self.bits)
-
-    @cached_property
-    def mask(self) -> int:
-        """Integer bitmask with slot t at bit t."""
-        m = 0
-        for t, b in enumerate(self.bits):
-            if b:
-                m |= 1 << t
-        return m
+        return self.mask.bit_count()
 
     @property
     def duty(self) -> Fraction:
         return Fraction(self.ones, self.period)
 
     def is_all_one(self) -> bool:
-        return self.ones == self.period
+        return self.mask == full_mask(self.period)
 
     def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.mask, f"0{self.period}b")[::-1]
 
     def __len__(self) -> int:
         return self.period
@@ -348,10 +369,7 @@ def cyclic_shift(seq: BinarySequence, tau: int) -> BinarySequence:
     Negative offsets are accepted and reduced modulo the period.
     """
     L = seq.period
-    tau %= L
-    if tau == 0:
-        return seq
-    return BinarySequence(seq.bits[tau:] + seq.bits[:tau])
+    return BinarySequence.from_mask(rotate_mask(seq.mask, tau, L), L)
 
 
 def count_config(
@@ -443,7 +461,7 @@ def parse_sequence_set(text: str) -> SequenceSet:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if set(line) - {"0", "1"}:
+        if line.strip("01"):
             raise ValueError(f"line {lineno}: only '0'/'1' characters allowed")
         rows.append(line)
     if not rows:

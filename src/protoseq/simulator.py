@@ -17,6 +17,7 @@ threshold.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
@@ -375,9 +376,10 @@ def run_session(
     per_user = []
     for u in range(K):
         first = 0 if taus[u] == 0 else 1
+        survivors = Counter(q for _, _, q in delivered[u])
         outcomes = []
         for p in range(first, periods):
-            survived = sum(1 for _, _, q in delivered[u] if q == p)
+            survived = survivors[p]
             success = (
                 code.required_per_period[u] == 0 or p in decoded[u]
             )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from protoseq import cli, parse_sequence_set
+from protoseq import analysis, cli, parse_sequence_set
 
 WORKED_ROWS = (
     "110110110110110110110110110",
@@ -230,3 +230,42 @@ def test_round_trip_verdicts_match_in_memory(capsys, tmp_path):
                                 "--gamma", "1", str(path))
     assert code == 0
     assert payload["holds"] == is_ti(built, 1).holds == is_si(built).holds
+
+
+def test_construct_over_budget_exits_three(capsys):
+    code, out, err = run_cli(capsys, "construct", "--duty", "1/9999,1/9998,1/9997")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--trust-ti",)])
+def test_session_on_non_ti_set_exits_one(capsys, tmp_path, extra):
+    path = tmp_path / "pair.psq"
+    path.write_text("110\n101\n")
+    code, out, err = run_cli(
+        capsys, "session", "--gamma", "1", "--periods", "3", "--seed", "0",
+        *extra, str(path),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "throughput-invariant" in err
+
+
+@pytest.mark.parametrize(
+    "exc, expected",
+    [
+        (analysis.StructuralContradictionError("forced SI fails"), 1),
+        (analysis.PreconditionError("subsets are not SI"), 2),
+    ],
+)
+def test_analysis_errors_map_to_exit_codes(capsys, monkeypatch, worked_file,
+                                           exc, expected):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(analysis, "is_si", fail)
+    code, out, err = run_cli(capsys, "verify", "--property", "si", worked_file)
+    assert code == expected
+    assert out == ""
+    assert err == f"error: {exc}\n"

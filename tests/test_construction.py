@@ -5,12 +5,18 @@ from fractions import Fraction
 import pytest
 
 from protoseq import (
+    DEFAULT_BUDGET,
+    BinarySequence,
+    BudgetExceededError,
+    SequenceSet,
     as_duty_factors,
     build_arrays,
     construct_si,
+    format_sequence_set,
     is_si,
     min_period_bound,
     parse_duty_spec,
+    parse_sequence_set,
     si_divisibility,
 )
 
@@ -157,3 +163,46 @@ def test_zero_duty_produces_silent_user():
 def test_fill_mode_validation():
     with pytest.raises(ValueError):
         build_arrays(("1/2",), fill="middle")
+
+
+def readout_oracle(duty, fill, seed):
+    """Slot-by-slot column-major readout of ``build_arrays``, repeated to L."""
+    L = min_period_bound(duty)
+    rows = []
+    for array in build_arrays(duty, fill=fill, seed=seed):
+        base = [array[r][c] for c in range(len(array[0])) for r in range(len(array))]
+        rows.append(BinarySequence(tuple(base[t % len(base)] for t in range(L))))
+    return SequenceSet(tuple(rows))
+
+
+def test_construct_si_matches_array_readout():
+    rng = random.Random(41)
+    for _ in range(40):
+        duty = tuple(
+            Fraction(rng.randint(0, d), d)
+            for d in (rng.randint(1, 7) for _ in range(rng.randint(1, 4)))
+        )
+        assert construct_si(duty) == readout_oracle(duty, "left", None), duty
+        for seed in (0, 1, rng.getrandbits(32)):
+            assert construct_si(duty, "random", seed) == readout_oracle(
+                duty, "random", seed
+            ), (duty, seed)
+
+
+def test_construct_si_refuses_oversized_periods_up_front():
+    for duty in (("1/9999", "1/9998", "1/9997"), (0.1,)):
+        with pytest.raises(BudgetExceededError):
+            construct_si(duty)
+    big = (f"1/{DEFAULT_BUDGET // 2 + 1}", "1/2")
+    assert len(big) * min_period_bound(big) > DEFAULT_BUDGET
+    with pytest.raises(BudgetExceededError):
+        construct_si(big, fill="random", seed=0)
+
+
+def test_top_ladder_rung_round_trips_through_text():
+    duty = ("1/2", "1/3", "2/5", "1/7", "3/11", "1/13", "2/17")
+    sset = construct_si(duty)
+    assert sset.period == 510510
+    assert sset.duty_factors == as_duty_factors(duty)
+    again = parse_sequence_set(format_sequence_set(sset))
+    assert again == sset

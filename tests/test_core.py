@@ -228,11 +228,45 @@ def test_rotate_mask_matches_cyclic_shift():
 # types and the text format
 
 
+def test_binary_sequence_constructors_agree():
+    rng = random.Random(17)
+    for _ in range(60):
+        L = rng.randint(1, 70)
+        bits = tuple(rng.randint(0, 1) for _ in range(L))
+        text = "".join(map(str, bits))
+        mask = sum(1 << t for t, b in enumerate(bits) if b)
+        forms = (
+            BinarySequence(bits),
+            BinarySequence.from_string(text),
+            BinarySequence.from_mask(mask, L),
+        )
+        for s in forms:
+            assert (s.period, s.mask, s.bits, s.ones) == (L, mask, bits, sum(bits))
+            assert s.to_string() == text
+            assert s == forms[0] and hash(s) == hash(forms[0])
+    assert BinarySequence.from_mask(0b01, 2) != BinarySequence.from_mask(0b01, 3)
+
+
 def test_binary_sequence_validation():
     with pytest.raises(ValueError):
         BinarySequence(())
     with pytest.raises(ValueError):
+        BinarySequence.from_string("")
+    with pytest.raises(ValueError):
+        BinarySequence.from_mask(0, 0)
+    with pytest.raises(ValueError):
+        BinarySequence.from_mask(1, -1)
+    with pytest.raises(ValueError):
         BinarySequence((0, 2))
+    with pytest.raises(ValueError):
+        BinarySequence((1, -1))
+    for text in ("012", "1 0", "0b1", "1_0", "-1"):
+        with pytest.raises(ValueError):
+            BinarySequence.from_string(text)
+    with pytest.raises(ValueError):
+        BinarySequence.from_mask(0b1000, 3)
+    with pytest.raises(ValueError):
+        BinarySequence.from_mask(-1, 3)
 
 
 def test_sequence_set_requires_common_period():
