@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -37,7 +37,9 @@ from .core import (
     count_planes,
     hamming_cross_correlation,
     rotate_mask,
+    rotation_table,
     theta_profile,
+    validate_gamma,
     validate_users,
 )
 
@@ -169,8 +171,7 @@ def throughput_at(
     """
     K = sset.size
     L = sset.period
-    if not 1 <= gamma < K:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={K}")
+    validate_gamma(gamma, K)
     taus = as_shifts(shifts, L, K)
     masks = [rotate_mask(m, t, L) for m, t in zip(sset.masks, taus)]
     return tuple(Fraction(c, L) for c in success_counts(masks, gamma, L))
@@ -180,9 +181,45 @@ def throughput_at(
 # exhaustive invariance verdicts
 
 
-def _rotation_tables(sset: SequenceSet) -> list[tuple[int, ...]]:
+def _correlations(first: int, rest_tables: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Correlation of a tuple at every shift class, first shift pinned to zero.
+
+    ``rest_tables`` holds the rotation tables of the other members.  The
+    values come in lexicographic order of the other members' shifts, as
+    ``itertools.product(range(L), repeat=len(rest_tables))`` lists them,
+    so the first value is the all-zero class.
+    """
+    for masks in itertools.product(*rest_tables):
+        acc = first
+        for m in masks:
+            acc &= m
+            if not acc:
+                break
+        yield acc.bit_count()
+
+
+def _ti_sweep(
+    sset: SequenceSet, gamma: int, budget: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per-user success counts at every shift class, first shift pinned to zero.
+
+    Yields ``(rest, counts)`` with the other users' shifts in
+    lexicographic order.  The capability and the budget are checked
+    before the first class is evaluated.
+    """
+    K = sset.size
     L = sset.period
-    return [tuple(rotate_mask(m, t, L) for t in range(L)) for m in sset.masks]
+    validate_gamma(gamma, K)
+    cost = L ** (K - 1) * K * L
+    if cost > budget:
+        raise BudgetExceededError(
+            f"TI verification needs {cost} slot evaluations, budget is {budget}"
+        )
+    pinned = sset.masks[0]
+    rest_tables = [rotation_table(m, L) for m in sset.masks[1:]]
+    shifts = itertools.product(range(L), repeat=K - 1)
+    for rest, masks in zip(shifts, itertools.product(*rest_tables)):
+        yield rest, success_counts((pinned, *masks), gamma, L)
 
 
 def _si_cost(K: int, L: int, sizes: Sequence[int]) -> int:
@@ -199,7 +236,9 @@ def _constant_correlation_scan(
         raise BudgetExceededError(
             f"{prop} verification needs {cost} slot evaluations, budget is {budget}"
         )
-    tables = _rotation_tables(sset) if any(m >= 2 for m in sizes) else []
+    tables = []
+    if any(size >= 2 for size in sizes):
+        tables = [rotation_table(m, L) for m in sset.masks]
     checked = 0
     for m in sizes:
         for users in itertools.combinations(range(1, K + 1), m):
@@ -210,13 +249,8 @@ def _constant_correlation_scan(
             first = tables[users[0] - 1][0]
             rest_tables = [tables[u - 1] for u in users[1:]]
             base = None
-            for rest in itertools.product(range(L), repeat=m - 1):
-                acc = first
-                for tab, t in zip(rest_tables, rest):
-                    acc &= tab[t]
-                    if not acc:
-                        break
-                h = acc.bit_count()
+            shifts = itertools.product(range(L), repeat=m - 1)
+            for rest, h in zip(shifts, _correlations(first, rest_tables)):
                 checked += 1
                 if base is None:
                     base = h
@@ -253,39 +287,23 @@ def is_pairwise_si(sset: SequenceSet, budget: int = DEFAULT_BUDGET) -> PropertyV
 
 
 def is_ti(
-    sset: SequenceSet,
-    gamma: int,
-    budget: int = DEFAULT_BUDGET,
-    cross_check: bool = True,
+    sset: SequenceSet, gamma: int, budget: int = DEFAULT_BUDGET
 ) -> PropertyVerdict:
     """Verify that per-user throughput is the same at every shift assignment.
 
     Enumerates all shift classes with the first user's shift pinned to
-    zero.  When the verdict is positive, every throughput is strictly
-    positive, and ``cross_check`` is on, the pairwise shift-invariance
-    that such a set must exhibit is re-verified; a failure there signals
-    an internal fault and raises.  Sets with a zero-throughput user can
-    be TI without being pairwise SI (a silent user is trivially
-    invariant), so the cross-check does not apply to them.
+    zero.  When the verdict is positive and every throughput is strictly
+    positive, the pairwise shift-invariance that such a set must exhibit
+    is re-verified; a failure there signals an internal fault and
+    raises.  Sets with a zero-throughput user can be TI without being
+    pairwise SI (a silent user is trivially invariant), so the
+    cross-check does not apply to them.
     """
     K = sset.size
     L = sset.period
-    if not 1 <= gamma < K:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={K}")
-    cost = L ** (K - 1) * K * L
-    if cost > budget:
-        raise BudgetExceededError(
-            f"TI verification needs {cost} slot evaluations, budget is {budget}"
-        )
-    tables = _rotation_tables(sset)
-    pinned = tables[0][0]
-    rest_tables = tables[1:]
     baseline: tuple[int, ...] | None = None
     checked = 0
-    for rest in itertools.product(range(L), repeat=K - 1):
-        masks = [pinned]
-        masks.extend(tab[t] for tab, t in zip(rest_tables, rest))
-        counts = success_counts(masks, gamma, L)
+    for rest, counts in _ti_sweep(sset, gamma, budget):
         checked += 1
         if baseline is None:
             baseline = counts
@@ -300,7 +318,7 @@ def is_ti(
             )
             return PropertyVerdict("TI", False, witness, checked, gamma)
     verdict = PropertyVerdict("TI", True, None, checked, gamma)
-    if cross_check and baseline is not None and all(c > 0 for c in baseline):
+    if baseline is not None and all(c > 0 for c in baseline):
         pairwise = is_pairwise_si(sset, budget=budget)
         if not pairwise.holds:
             raise StructuralContradictionError(
@@ -316,8 +334,7 @@ def allone_constraint(sset: SequenceSet, gamma: int) -> bool:
     With gamma or more always-on users, no other user can ever get a
     packet through, so positive throughput for everyone needs this bound.
     """
-    if not 1 <= gamma < sset.size:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={sset.size}")
+    validate_gamma(gamma, sset.size)
     return sum(1 for s in sset.sequences if s.is_all_one()) <= gamma - 1
 
 
@@ -495,8 +512,7 @@ def structural_hypotheses(
     an integer), and the stated gcd to be one.
     """
     K = size
-    if not 1 <= gamma < K:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={K}")
+    validate_gamma(gamma, K)
     tags: list[str] = []
     if gamma == 1:
         tags.append("gamma=1")
@@ -539,8 +555,6 @@ def structural_conclusion(
     inapplicable, never used to conclude anything.
     """
     K = sset.size
-    if not 1 <= gamma < K:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={K}")
     ti = is_ti(sset, gamma, budget=budget)
     if not ti.holds:
         return StructuralReport(
@@ -628,19 +642,9 @@ def find_pairwise_si_not_si(
         if not _pair_correlation_constant(m2, m3, L):
             continue
         pairwise_found += 1
-        rot2 = tuple(rotate_mask(m2, t, L) for t in range(L))
-        rot3 = tuple(rotate_mask(m3, t, L) for t in range(L))
         base = (m1 & m2 & m3).bit_count()
-        constant = True
-        for t2 in range(L):
-            a = m1 & rot2[t2]
-            for t3 in range(L):
-                if (a & rot3[t3]).bit_count() != base:
-                    constant = False
-                    break
-            if not constant:
-                break
-        if not constant:
+        rest_tables = (rotation_table(m2, L), rotation_table(m3, L))
+        if any(h != base for h in _correlations(m1, rest_tables)):
             hits.append(
                 SequenceSet(
                     tuple(BinarySequence.from_mask(m, L) for m in (m1, m2, m3))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -79,24 +78,6 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
-
-
-def _threads(args: argparse.Namespace) -> int:
-    """Resolve the worker bound from --threads or PROTOSEQ_THREADS.
-
-    Evaluation is deterministic regardless of the bound; the flag caps
-    how much parallelism an operation may use.
-    """
-    value = getattr(args, "threads", None)
-    if value is None:
-        raw = os.environ.get("PROTOSEQ_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"PROTOSEQ_THREADS={raw!r} is not an integer") from exc
-    if value < 1:
-        raise ValueError("--threads must be at least 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +152,7 @@ def _cmd_throughput(args) -> int:
     _emit(
         {
             "gamma": report.gamma,
-            "mode": report.mode,
+            "mode": "closed_form",
             "per_user": [_rational(r) for r in report.per_user],
         }
     )
@@ -314,19 +295,14 @@ def _cmd_example(args) -> int:
             failures.append(f"sequence s{i} deviates from the expected layout")
 
     for users, expected in _EXAMPLE_H.items():
-        values = set()
-        if len(users) == 2:
-            for a in range(L):
-                for b in range(L):
-                    values.add(hamming_cross_correlation(sset, users, (a, b)))
-            checked = L * L
-        else:
-            for b in range(L):
-                for c in range(L):
-                    values.add(hamming_cross_correlation(sset, users, (0, b, c)))
-            checked = L * L
+        # a triple's first shift is pinned, so every tuple sweeps L * L shifts
+        pinned = (0,) * (len(users) - 2)
+        values = {
+            hamming_cross_correlation(sset, users, pinned + shifts)
+            for shifts in itertools.product(range(L), repeat=2)
+        }
         label = ",".join(str(u) for u in users)
-        print(f"H({label}) over {checked} shift tuples: {sorted(values)}")
+        print(f"H({label}) over {L * L} shift tuples: {sorted(values)}")
         if values != {expected}:
             failures.append(f"H({label}) expected constant {expected}")
 
@@ -366,12 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="protoseq",
         description="periodic binary protocol sequences: construction, "
         "exact analysis, and simulation",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="upper bound on worker parallelism (default: PROTOSEQ_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -440,7 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads(args)  # validated even though evaluation is deterministic
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

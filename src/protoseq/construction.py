@@ -90,6 +90,24 @@ def si_divisibility(duty: Iterable, subset: Sequence[int]) -> int:
     return prod_d // math.gcd(prod_d, prod_n)
 
 
+def _layout(duty: Iterable, fill: str) -> tuple[tuple[Fraction, ...], int]:
+    """Checked duty factors and common period of a build.
+
+    Builds of more than ``DEFAULT_BUDGET`` slots in total are refused
+    before anything is allocated.
+    """
+    duty = as_duty_factors(duty)
+    if fill not in ("left", "random"):
+        raise ValueError("fill must be 'left' or 'random'")
+    L = min_period_bound(duty)
+    if len(duty) * L > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{len(duty)} schedules of period {L} exceed the budget of "
+            f"{DEFAULT_BUDGET} slots"
+        )
+    return duty, L
+
+
 def build_arrays(
     duty: Iterable, fill: str = "left", seed: int | None = None
 ) -> list[list[list[int]]]:
@@ -98,11 +116,10 @@ def build_arrays(
     ``fill="left"`` packs the ones into the leading columns of every row,
     which makes the construction deterministic.  ``fill="random"`` picks
     the one-columns per row with a seeded generator; any row fill yields
-    a shift-invariant set, and tests exercise both.
+    a shift-invariant set, and tests exercise both.  Layouts for sets of
+    more than ``DEFAULT_BUDGET`` slots are refused up front.
     """
-    duty = as_duty_factors(duty)
-    if fill not in ("left", "random"):
-        raise ValueError("fill must be 'left' or 'random'")
+    duty, _ = _layout(duty, fill)
     rng = random.Random(seed)
     arrays = []
     rows = 1
@@ -133,15 +150,7 @@ def construct_si(
     of more than ``DEFAULT_BUDGET`` slots in total are refused before
     anything is allocated.
     """
-    duty = as_duty_factors(duty)
-    if fill not in ("left", "random"):
-        raise ValueError("fill must be 'left' or 'random'")
-    L = min_period_bound(duty)
-    if len(duty) * L > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"{len(duty)} schedules of period {L} exceed the budget of "
-            f"{DEFAULT_BUDGET} slots"
-        )
+    duty, L = _layout(duty, fill)
     rng = random.Random(seed)
     sequences = []
     rows = 1

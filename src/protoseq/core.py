@@ -41,6 +41,7 @@ __all__ = [
     "theta_profile",
     "full_mask",
     "rotate_mask",
+    "rotation_table",
     "count_planes",
     "at_most_mask",
     "exact_count_mask",
@@ -84,6 +85,11 @@ def rotate_mask(mask: int, tau: int, period: int) -> int:
     if tau == 0:
         return mask
     return ((mask >> tau) | (mask << (period - tau))) & full_mask(period)
+
+
+def rotation_table(mask: int, period: int) -> tuple[int, ...]:
+    """Every rotation of a mask: entry t is ``rotate_mask(mask, t, period)``."""
+    return tuple(rotate_mask(mask, t, period) for t in range(period))
 
 
 def count_planes(masks: Iterable[int]) -> list[int]:
@@ -339,6 +345,12 @@ def validate_users(users: Sequence[int], size: int) -> tuple[int, ...]:
     if any(a >= b for a, b in zip(t, t[1:])):
         raise ValueError(f"user indices must be strictly increasing: {t}")
     return t
+
+
+def validate_gamma(gamma: int, size: int) -> None:
+    """Check a receiver capability against set size K: 1 <= gamma < K."""
+    if not 1 <= gamma < size:
+        raise ValueError(f"gamma must satisfy 1 <= gamma < K={size}")
 
 
 def as_shifts(shifts: ShiftsLike, period: int, expected: int) -> tuple[int, ...]:

@@ -24,8 +24,15 @@ from math import ceil, log2
 
 import numpy as np
 
-from .core import ProtoseqError, SequenceSet, ShiftsLike, as_shifts
-from .analysis import DEFAULT_BUDGET, is_ti
+from .core import (
+    ProtoseqError,
+    SequenceSet,
+    ShiftsLike,
+    as_shifts,
+    rotation_table,
+    validate_gamma,
+)
+from .analysis import DEFAULT_BUDGET, is_ti, success_counts
 from .throughput import ti_throughput
 
 __all__ = [
@@ -121,14 +128,11 @@ def _stats_from_counts(counts: np.ndarray, denom: int) -> tuple[UserStats, ...]:
 
 
 def _protocol_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
-    from .core import rotate_mask
-    from .analysis import success_counts
-
     K = sset.size
     L = sset.period
     rng = _generator(cfg.seed)
     shifts = rng.integers(0, L, size=(cfg.runs, K))
-    tables = [tuple(rotate_mask(m, t, L) for t in range(L)) for m in sset.masks]
+    tables = [rotation_table(m, L) for m in sset.masks]
     counts = np.empty((cfg.runs, K), dtype=np.int64)
     for r in range(cfg.runs):
         row = shifts[r]
@@ -177,9 +181,7 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
     random-access baseline is measured over ``horizon`` periods' worth
     of slots.  Results are deterministic for a fixed seed.
     """
-    K = sset.size
-    if not 1 <= cfg.gamma < K:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={K}")
+    validate_gamma(cfg.gamma, sset.size)
     L = sset.period
     if cfg.scheme == "protocol_sequences":
         counts = _protocol_counts(sset, cfg)
@@ -301,8 +303,7 @@ def run_session(
     """
     K = sset.size
     L = sset.period
-    if not 1 <= gamma < K:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={K}")
+    validate_gamma(gamma, K)
     if periods < 1:
         raise ValueError("periods must be at least 1")
     if shifts is None:

@@ -9,7 +9,6 @@ duty-factor optimizer and the curve writer evaluate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -17,8 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BudgetExceededError, rotate_mask
-from .analysis import DEFAULT_BUDGET, success_counts
+from .core import BudgetExceededError, validate_gamma
+from .analysis import DEFAULT_BUDGET, _ti_sweep
 from .construction import as_duty_factors, construct_si
 
 __all__ = [
@@ -36,11 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """Per-user throughput values and how they were obtained."""
+    """Closed-form per-user throughput values."""
 
     per_user: tuple[Fraction, ...]
     gamma: int
-    mode: str  # "closed_form" | "exhaustive" | "empirical"
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,12 @@ def ti_throughput(duty: Iterable, gamma: int) -> ThroughputReport:
     prod(f_j, j in H) * prod(1 - f_k, k outside H and i).
     """
     duty = as_duty_factors(duty)
-    K = len(duty)
-    if not 1 <= gamma < K:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={K}")
+    validate_gamma(gamma, len(duty))
     per_user = []
     for i, f in enumerate(duty):
         dist = _others_distribution(duty, i)
         per_user.append(f * sum(dist[:gamma]))
-    return ThroughputReport(tuple(per_user), gamma, "closed_form")
+    return ThroughputReport(tuple(per_user), gamma)
 
 
 def symmetric_throughput(f, users: int, gamma: int) -> Fraction:
@@ -104,8 +100,7 @@ def symmetric_throughput(f, users: int, gamma: int) -> Fraction:
     f = Fraction(f)
     if not 0 <= f <= 1:
         raise ValueError(f"duty factor {f} outside [0, 1]")
-    if not 1 <= gamma < users:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={users}")
+    validate_gamma(gamma, users)
     return sum(
         comb(users - 1, j) * f ** (j + 1) * (1 - f) ** (users - 1 - j)
         for j in range(gamma)
@@ -123,24 +118,13 @@ def consistency_check(
     """
     duty = as_duty_factors(duty)
     sset = construct_si(duty)
-    K = sset.size
-    L = sset.period
-    if not 1 <= gamma < K:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={K}")
-    classes = L ** (K - 1)
-    cost = classes * K * L
-    if cost > budget:
-        raise BudgetExceededError(
-            f"exhaustive average needs {cost} slot evaluations, budget is {budget}"
-        )
-    tables = [tuple(rotate_mask(m, t, L) for t in range(L)) for m in sset.masks]
-    totals = [0] * K
-    for rest in itertools.product(range(L), repeat=K - 1):
-        masks = [tables[0][0]]
-        masks.extend(tables[i + 1][t] for i, t in enumerate(rest))
-        for i, c in enumerate(success_counts(masks, gamma, L)):
+    totals = [0] * sset.size
+    classes = 0
+    for _, counts in _ti_sweep(sset, gamma, budget):
+        classes += 1
+        for i, c in enumerate(counts):
             totals[i] += c
-    average = tuple(Fraction(t, classes * L) for t in totals)
+    average = tuple(Fraction(t, classes * sset.period) for t in totals)
     return average == ti_throughput(duty, gamma).per_user
 
 
@@ -151,6 +135,10 @@ def _symmetric_values(f: np.ndarray, users: int, gamma: int) -> np.ndarray:
     return total
 
 
+#: Most steps of the coarse grid ``optimal_duty`` allocates and scans.
+_MAX_GRID_STEPS = 10**7
+
+
 def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDuty:
     """Best common duty factor for the symmetric throughput, by grid search.
 
@@ -158,13 +146,18 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     window around the best point a thousand times finer; no unimodality
     is assumed.  Ties break toward the smaller duty factor.  The search
     itself runs in floating point; the winner is also re-scored exactly
-    at nearby rationals for the report.
+    at nearby rationals for the report.  ``resolution`` must lie in
+    (0, 1], and a coarse grid of more than ``_MAX_GRID_STEPS`` steps is
+    refused with ``BudgetExceededError`` before anything is allocated.
     """
-    if not 1 <= gamma < users:
-        raise ValueError(f"gamma must satisfy 1 <= gamma < K={users}")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    validate_gamma(gamma, users)
+    if not 0 < resolution <= 1:
+        raise ValueError(f"resolution must lie in (0, 1], got {resolution}")
     steps = max(2, round(1.0 / resolution))
+    if steps > _MAX_GRID_STEPS:
+        raise BudgetExceededError(
+            f"a grid of {steps} steps exceeds the limit of {_MAX_GRID_STEPS}"
+        )
     grid = np.linspace(0.0, 1.0, steps + 1)
     coarse = _symmetric_values(grid, users, gamma)
     best = float(grid[int(np.argmax(coarse))])

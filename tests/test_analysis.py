@@ -5,10 +5,14 @@ from math import comb
 
 import pytest
 
+from protoseq import analysis
 from protoseq import (
     BudgetExceededError,
     PreconditionError,
+    PropertyVerdict,
     SequenceSet,
+    StructuralContradictionError,
+    Witness,
     allone_constraint,
     check_lemma_delta,
     check_lemma_theta,
@@ -150,6 +154,16 @@ def test_is_ti_with_silent_user_skips_pairwise_cross_check():
     assert throughput_at(trial, (0, 0, 0, 0), 3)[2] == 0
 
 
+def test_is_ti_raises_when_the_pairwise_cross_check_fails(example_set, monkeypatch):
+    # a positive TI verdict with positive throughputs forces pairwise SI;
+    # a failed re-check means the counting itself is broken
+    witness = Witness((1, 2), (0, 0), (0, 1), 6, 5)
+    failed = PropertyVerdict("PAIRWISE_SI", False, witness, 1)
+    monkeypatch.setattr(analysis, "is_pairwise_si", lambda *a, **k: failed)
+    with pytest.raises(StructuralContradictionError):
+        is_ti(example_set, 1)
+
+
 def test_is_ti_gamma_validation(example_set):
     with pytest.raises(ValueError):
         is_ti(example_set, 0)
@@ -200,6 +214,10 @@ def test_budget_exceeded_is_an_error_not_a_verdict(example_set):
         is_si(example_set, budget=100)
     with pytest.raises(BudgetExceededError):
         is_ti(example_set, 1, budget=100)
+    # the TI sweep costs L^(K-1) * K * L slot evaluations, exactly
+    assert is_ti(example_set, 1, budget=27**2 * 3 * 27).holds
+    with pytest.raises(BudgetExceededError):
+        is_ti(example_set, 1, budget=27**2 * 3 * 27 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +458,8 @@ def test_search_is_deterministic_and_reports_counts():
     b = find_pairwise_si_not_si(3000, seed=5)
     assert a == b
     assert a.candidates_tried == 3000
-    assert a.pairwise_si_found >= 0
+    assert a.pairwise_si_found == 194
+    assert a.hits == ()
 
 
 def test_search_hits_have_the_claimed_shape():

@@ -123,6 +123,18 @@ def test_optimal_f_command(capsys):
     assert payload["rational_f"] == {"num": 1, "den": 20, "decimal": "0.05"}
 
 
+@pytest.mark.parametrize(
+    "resolution, expected",
+    [("1e-12", 3), ("inf", 2), ("nan", 2), ("0", 2), ("5", 2)],
+)
+def test_optimal_f_resolution_bounds(capsys, resolution, expected):
+    code, out, err = run_cli(capsys, "optimal-f", "--users", "5", "--gamma", "1",
+                             "--resolution", resolution)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_curve_command(capsys, tmp_path):
     out_path = tmp_path / "curve.csv"
     code, _, _ = run_cli(
@@ -196,23 +208,6 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "verify", "--property", "si", "/nonexistent")
     assert code == 2
-
-
-def test_threads_flag_and_env(capsys, monkeypatch):
-    code, _, _ = run_cli(capsys, "--threads", "4", "throughput",
-                         "--duty", "1/2,1/2", "--gamma", "1")
-    assert code == 0
-    code, _, err = run_cli(capsys, "--threads", "0", "throughput",
-                           "--duty", "1/2,1/2", "--gamma", "1")
-    assert code == 2
-    monkeypatch.setenv("PROTOSEQ_THREADS", "junk")
-    code, _, err = run_cli(capsys, "throughput", "--duty", "1/2,1/2",
-                           "--gamma", "1")
-    assert code == 2
-    monkeypatch.setenv("PROTOSEQ_THREADS", "2")
-    code, _, _ = run_cli(capsys, "throughput", "--duty", "1/2,1/2",
-                         "--gamma", "1")
-    assert code == 0
 
 
 def test_round_trip_verdicts_match_in_memory(capsys, tmp_path):

@@ -193,6 +193,8 @@ def test_construct_si_refuses_oversized_periods_up_front():
     for duty in (("1/9999", "1/9998", "1/9997"), (0.1,)):
         with pytest.raises(BudgetExceededError):
             construct_si(duty)
+        with pytest.raises(BudgetExceededError):
+            build_arrays(duty)
     big = (f"1/{DEFAULT_BUDGET // 2 + 1}", "1/2")
     assert len(big) * min_period_bound(big) > DEFAULT_BUDGET
     with pytest.raises(BudgetExceededError):

@@ -16,7 +16,13 @@ from protoseq import (
     theta_profile,
 )
 from protoseq import reference
-from protoseq.core import at_most_mask, count_planes, exact_count_mask, rotate_mask
+from protoseq.core import (
+    at_most_mask,
+    count_planes,
+    exact_count_mask,
+    rotate_mask,
+    rotation_table,
+)
 
 from helpers import random_set
 
@@ -222,6 +228,8 @@ def test_rotate_mask_matches_cyclic_shift():
         s = BinarySequence(tuple(rng.randint(0, 1) for _ in range(L)))
         tau = rng.randint(-L, 3 * L)
         assert rotate_mask(s.mask, tau, L) == cyclic_shift(s, tau).mask
+        table = rotation_table(s.mask, L)
+        assert table == tuple(rotate_mask(s.mask, t, L) for t in range(L))
 
 
 # ---------------------------------------------------------------------------

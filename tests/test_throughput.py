@@ -125,6 +125,10 @@ def test_consistency_with_built_sets():
     assert consistency_check(("1/1", "1/2"), 1)
     with pytest.raises(BudgetExceededError):
         consistency_check(WORKED, 1, budget=10)
+    # the same sweep and cost as is_ti: L^(K-1) * K * L slot evaluations
+    assert consistency_check(WORKED, 1, budget=27**2 * 3 * 27)
+    with pytest.raises(BudgetExceededError):
+        consistency_check(WORKED, 1, budget=27**2 * 3 * 27 - 1)
 
 
 def test_optimal_duty_single_capability():
@@ -147,8 +151,12 @@ def test_optimal_duty_pinned_dense_grid_value():
 def test_optimal_duty_validation():
     with pytest.raises(ValueError):
         optimal_duty(5, 5, 1e-3)
-    with pytest.raises(ValueError):
-        optimal_duty(5, 1, 0)
+    for resolution in (0, -1e-3, 5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            optimal_duty(5, 1, resolution)
+    # refused before the grid is allocated
+    with pytest.raises(BudgetExceededError):
+        optimal_duty(5, 1, 1e-12)
 
 
 def test_curve_rows_and_csv():
