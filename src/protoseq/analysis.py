@@ -35,6 +35,7 @@ from .core import (
     as_shifts,
     at_most_mask,
     count_planes,
+    exact_count_mask,
     hamming_cross_correlation,
     rotate_mask,
     rotation_table,
@@ -206,6 +207,12 @@ def _ti_sweep(
     Yields ``(rest, counts)`` with the other users' shifts in
     lexicographic order.  The capability and the budget are checked
     before the first class is evaluated.
+
+    The first K - 1 users are counted once per shift of users 2..K-1:
+    a slot where at most gamma - 1 of them fire (``room``) lets every
+    packet through whatever the last user does, and a slot where exactly
+    gamma of them fire (``edge``) lets theirs through only while the last
+    user is silent.  Each rotation of the last user then costs K popcounts.
     """
     K = sset.size
     L = sset.period
@@ -217,9 +224,23 @@ def _ti_sweep(
         )
     pinned = sset.masks[0]
     rest_tables = [rotation_table(m, L) for m in sset.masks[1:]]
-    shifts = itertools.product(range(L), repeat=K - 1)
-    for rest, masks in zip(shifts, itertools.product(*rest_tables)):
-        yield rest, success_counts((pinned, *masks), gamma, L)
+    last_table = rest_tables.pop()
+    shifts = itertools.product(range(L), repeat=K - 2)
+    for outer, middle in zip(shifts, itertools.product(*rest_tables)):
+        head = (pinned, *middle)
+        planes = count_planes(head)
+        room = at_most_mask(planes, gamma - 1, L)
+        edge = exact_count_mask(planes, gamma, L)
+        # per head user: successes while the last user is silent, and the
+        # edge slots it loses when the last user fires there too
+        head_terms = [
+            ((m & room).bit_count() + (m & edge).bit_count(), m & edge) for m in head
+        ]
+        for tau, r in enumerate(last_table):
+            yield (*outer, tau), (
+                *[base - (e & r).bit_count() for base, e in head_terms],
+                (r & room).bit_count(),
+            )
 
 
 def _si_cost(K: int, L: int, sizes: Sequence[int]) -> int:

@@ -337,6 +337,16 @@ def _cmd_example(args) -> int:
 # parser plumbing
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protoseq",
@@ -360,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify an invariance property")
     p.add_argument("--property", required=True, choices=("si", "pairwise-si", "ti"))
     p.add_argument("--gamma", type=int, default=None)
-    p.add_argument("--budget", type=int, default=analysis.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=analysis.DEFAULT_BUDGET)
     p.add_argument("file", help="sequence set file ('-' for stdin)")
     p.set_defaults(func=_cmd_verify)
 

@@ -2,15 +2,18 @@
 
 Everything here walks slot indices directly and keeps no bitmask state.
 It is intentionally slow and obvious; the test suite runs it against the
-bit-parallel layer in `protoseq.core` on random instances.
+bit-parallel layer in `protoseq.core` and against the session simulator
+on random instances.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 from .core import SequenceSet, ShiftsLike, as_shifts, validate_users
+from .simulator import SessionPacket
 
 
 def count_config(sset: SequenceSet, shifts: ShiftsLike, pattern: Sequence[int]) -> int:
@@ -76,3 +79,73 @@ def throughput_at(
                 if f:
                     good[i] += 1
     return tuple(Fraction(g, L) for g in good)
+
+
+def session_receive(
+    sset: SequenceSet,
+    gamma: int,
+    periods: int,
+    shifts: ShiftsLike,
+    required: Sequence[int],
+) -> tuple[tuple[Counter, ...], tuple[set[int], ...], bool]:
+    """Play ``periods`` periods of slots through the receive chain.
+
+    Slots with at most gamma transmitters deliver their packets; the
+    receiver groups each user's delivered packets by runs of the header
+    parity bit and decodes the true period of a group when the group
+    holds at least ``required[u]`` packets from that one period.
+
+    Returns, per user, the survivors of each period (partial end periods
+    included), the set of decoded periods, and whether every parity group
+    covered exactly one true period.
+    """
+    K = sset.size
+    L = sset.period
+    if not 1 <= gamma < K:
+        raise ValueError("gamma must satisfy 1 <= gamma < K")
+    taus = as_shifts(shifts, L, K)
+    bit_rows = [s.bits for s in sset.sequences]
+    totals = [
+        sum(bit_rows[u][(t + taus[u]) % L] for u in range(K)) for t in range(L)
+    ]
+
+    # delivered packets per user, in slot order, with ground-truth period
+    delivered: list[list[tuple[SessionPacket, int]]] = [[] for _ in range(K)]
+    for u in range(K):
+        bits = bit_rows[u]
+        tau = taus[u]
+        current_period = -1
+        payload_index = 0
+        for t in range(periods * L):
+            if not bits[(t + tau) % L]:
+                continue
+            p = (t + tau) // L
+            if p != current_period:
+                current_period = p
+                payload_index = 0
+            if totals[t % L] <= gamma:
+                packet = SessionPacket(
+                    user_id=u + 1, period_parity=p % 2, payload_index=payload_index
+                )
+                delivered[u].append((packet, p))
+            payload_index += 1
+
+    # receiver-side grouping by parity runs
+    consistent = True
+    decoded: list[set[int]] = [set() for _ in range(K)]
+    for u in range(K):
+        runs: list[list[tuple[SessionPacket, int]]] = []
+        for item in delivered[u]:
+            if not runs or item[0].period_parity != runs[-1][-1][0].period_parity:
+                runs.append([])
+            runs[-1].append(item)
+        for group in runs:
+            true_periods = {p for _, p in group}
+            if len(true_periods) != 1:
+                consistent = False
+                continue  # mixed codewords cannot decode
+            if len(group) >= required[u]:
+                decoded[u].add(true_periods.pop())
+
+    survivors = tuple(Counter(p for _, p in items) for items in delivered)
+    return survivors, tuple(decoded), consistent

@@ -13,11 +13,19 @@ headers (user identity plus a one-bit period parity), any busier slot
 erases them, and a user's period decodes when at least the guaranteed
 number of its packets survive.  Coding internals are abstracted to that
 threshold.
+
+With fixed shifts every complete period repeats slot for slot, so a
+session's survivors are counted once, at the session's shifts.  A user
+with survivors delivers some in every complete period, and adjacent
+periods alternate parity, so the receiver's parity runs never merge two
+periods and a period decodes exactly when that count meets the threshold.
+The slot-level receive chain, which delivers packets one by one and
+groups them by parity runs, is kept in ``protoseq.reference`` as the
+test oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
@@ -29,6 +37,7 @@ from .core import (
     SequenceSet,
     ShiftsLike,
     as_shifts,
+    rotate_mask,
     rotation_table,
     validate_gamma,
 )
@@ -295,11 +304,12 @@ def run_session(
 
     One session draws (or takes) a shift per user and plays ``periods``
     periods of slots.  Slots with at most gamma transmitters deliver
-    their packets; the receiver groups each user's delivered packets by
-    runs of the header parity bit and decodes a period when one group
-    holds enough survivors from it.  Only complete periods inside the
-    horizon are judged.  Unless ``trust_ti`` is set, the set is first
-    verified to be throughput-invariant at ``gamma``.
+    their packets, and a user's period decodes when enough of its
+    packets survive; the survivors of every complete period are the
+    user's success count at the session's shifts (see the module
+    docstring).  Only complete periods inside the horizon are judged.
+    Unless ``trust_ti`` is set, the set is first verified to be
+    throughput-invariant at ``gamma``.
     """
     K = sset.size
     L = sset.period
@@ -324,77 +334,23 @@ def run_session(
     code = ErasureCodeSpec.from_set(sset, gamma)
     header_bits = 1 + ceil(log2(K)) if K > 1 else 1
 
-    # per-slot transmitter totals repeat with the common period
-    bit_rows = [s.bits for s in sset.sequences]
-    totals = [
-        sum(bit_rows[u][(t + taus[u]) % L] for u in range(K)) for t in range(L)
-    ]
-
-    # delivered packets per user, in slot order, with ground-truth period
-    delivered: list[list[tuple[SessionPacket, int, int]]] = [[] for _ in range(K)]
-    for u in range(K):
-        bits = bit_rows[u]
-        tau = taus[u]
-        current_period = -1
-        payload_index = 0
-        for t in range(periods * L):
-            if not bits[(t + tau) % L]:
-                continue
-            p = (t + tau) // L
-            if p != current_period:
-                current_period = p
-                payload_index = 0
-            if totals[t % L] <= gamma:
-                packet = SessionPacket(
-                    user_id=u + 1, period_parity=p % 2, payload_index=payload_index
-                )
-                delivered[u].append((packet, t, p))
-            payload_index += 1
-
-    # receiver-side grouping by parity runs; a group should cover exactly
-    # one true period, which holds whenever no period loses every packet
-    groups_consistent = True
-    decoded: list[set[int]] = [set() for _ in range(K)]
-    for u in range(K):
-        run: list[tuple[SessionPacket, int, int]] = []
-        runs: list[list[tuple[SessionPacket, int, int]]] = []
-        for item in delivered[u]:
-            if run and item[0].period_parity != run[-1][0].period_parity:
-                runs.append(run)
-                run = []
-            run.append(item)
-        if run:
-            runs.append(run)
-        for group in runs:
-            true_periods = {p for _, _, p in group}
-            if len(true_periods) != 1:
-                groups_consistent = False
-                continue  # mixed codewords cannot decode
-            p = true_periods.pop()
-            if len(group) >= code.required_per_period[u]:
-                decoded[u].add(p)
-
+    # every complete period repeats slot for slot, so one count at the
+    # drawn shifts gives each user's survivors in every judged period
+    counts = success_counts(
+        [rotate_mask(m, tau, L) for m, tau in zip(sset.masks, taus)], gamma, L
+    )
     per_user = []
     for u in range(K):
+        sent = code.packets_per_period[u]
+        survived = counts[u]
+        success = survived >= code.required_per_period[u]
         first = 0 if taus[u] == 0 else 1
-        survivors = Counter(q for _, _, q in delivered[u])
-        outcomes = []
-        for p in range(first, periods):
-            survived = survivors[p]
-            success = (
-                code.required_per_period[u] == 0 or p in decoded[u]
+        per_user.append(
+            tuple(
+                PeriodOutcome(u + 1, p, p % 2, sent, survived, success)
+                for p in range(first, periods)
             )
-            outcomes.append(
-                PeriodOutcome(
-                    user_id=u + 1,
-                    period_index=p,
-                    parity=p % 2,
-                    sent=code.packets_per_period[u],
-                    survived=survived,
-                    success=success,
-                )
-            )
-        per_user.append(tuple(outcomes))
+        )
 
     return SessionReport(
         gamma=gamma,
@@ -405,5 +361,5 @@ def run_session(
         header_bits=header_bits,
         code=code,
         per_user=tuple(per_user),
-        receiver_groups_consistent=groups_consistent,
+        receiver_groups_consistent=True,
     )

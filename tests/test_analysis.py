@@ -7,6 +7,7 @@ import pytest
 
 from protoseq import analysis
 from protoseq import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     PreconditionError,
     PropertyVerdict,
@@ -31,6 +32,7 @@ from protoseq import (
     verify_witness,
 )
 from protoseq import reference
+from protoseq.core import rotate_mask
 
 from helpers import config_constancy_si_oracle, random_set
 
@@ -169,6 +171,45 @@ def test_is_ti_gamma_validation(example_set):
         is_ti(example_set, 0)
     with pytest.raises(ValueError):
         is_ti(example_set, 3)
+
+
+def _brute_force_ti(trial, gamma):
+    """Success counts at every pinned shift class, rotated and counted directly."""
+    L = trial.period
+    for rest in itertools.product(range(L), repeat=trial.size - 1):
+        masks = [rotate_mask(m, t, L) for m, t in zip(trial.masks, (0,) + rest)]
+        yield rest, analysis.success_counts(masks, gamma, L)
+
+
+def test_ti_sweep_matches_direct_counts_and_first_difference_scan():
+    rng = random.Random(43)
+    for _ in range(60):
+        K = rng.randint(2, 5)
+        trial = random_set(rng, K, rng.randint(1, 8 if K < 5 else 5))
+        L = trial.period
+        for gamma in range(1, K):
+            expected = list(_brute_force_ti(trial, gamma))
+            assert list(analysis._ti_sweep(trial, gamma, DEFAULT_BUDGET)) == expected
+            baseline = expected[0][1]
+            diff = next(
+                (k for k, (_, c) in enumerate(expected) if c != baseline), None
+            )
+            verdict = is_ti(trial, gamma)
+            if diff is None:
+                assert verdict.holds and verdict.witness is None
+                assert verdict.configurations_checked == L ** (K - 1)
+                continue
+            rest, counts = expected[diff]
+            i = next(i for i in range(K) if counts[i] != baseline[i])
+            assert not verdict.holds
+            assert verdict.configurations_checked == diff + 1
+            assert verdict.witness == Witness(
+                (i + 1,),
+                (0,) * K,
+                (0,) + rest,
+                Fraction(baseline[i], L),
+                Fraction(counts[i], L),
+            )
 
 
 def test_throughput_at_examples(example_set):

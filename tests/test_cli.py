@@ -77,6 +77,30 @@ def test_verify_budget_exit_code(capsys, worked_file):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_verify_budget_below_one_is_a_usage_error(capsys, tmp_path, budget):
+    path = tmp_path / "three.psq"
+    path.write_text("110\n101\n011\n")
+    argv = ["verify", "--property", "ti", "--gamma", "1", "--budget", budget, str(path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--budget" in captured.err
+
+
+def test_verify_budget_of_one_is_refused_with_exit_three(capsys, tmp_path):
+    path = tmp_path / "three.psq"
+    path.write_text("110\n101\n011\n")
+    code, out, err = run_cli(
+        capsys, "verify", "--property", "ti", "--gamma", "1", "--budget", "1", str(path)
+    )
+    assert code == 3
+    assert out == ""
+    assert "budget is 1" in err
+
+
 def test_verify_ti_requires_gamma(capsys, worked_file):
     code, out, err = run_cli(capsys, "verify", "--property", "ti", worked_file)
     assert code == 2

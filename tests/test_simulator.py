@@ -13,7 +13,9 @@ from protoseq import (
     run_session,
     symmetric_throughput,
 )
-from protoseq import simulator
+from protoseq import reference, simulator
+
+from helpers import random_set
 
 NOT_TI = SequenceSet.from_strings(["110", "101"])
 
@@ -167,3 +169,68 @@ def test_session_deterministic_per_seed(example_set):
     a = run_session(example_set, gamma=2, periods=5, seed=42)
     b = run_session(example_set, gamma=2, periods=5, seed=42)
     assert a == b
+
+
+def _assert_matches_receive_chain(sset, gamma, periods, shifts):
+    code = ErasureCodeSpec.from_set(sset, gamma)
+    report = run_session(sset, gamma, periods, shifts=shifts, trust_ti=True)
+    survivors, decoded, consistent = reference.session_receive(
+        sset, gamma, periods, shifts, code.required_per_period
+    )
+    assert report.receiver_groups_consistent == consistent
+    for u, outcomes in enumerate(report.per_user):
+        first = 0 if shifts[u] == 0 else 1
+        assert [o.period_index for o in outcomes] == list(range(first, periods))
+        required = code.required_per_period[u]
+        for o in outcomes:
+            p = o.period_index
+            assert o.user_id == u + 1 and o.parity == p % 2
+            assert o.sent == code.packets_per_period[u]
+            assert o.survived == survivors[u][p]
+            assert o.success == (required == 0 or p in decoded[u])
+    return report
+
+
+def test_session_matches_slot_level_receive_chain():
+    rng = random.Random(47)
+    built = [
+        construct_si(duty)
+        for duty in (
+            ("1/2", "1/3"),
+            ("2/3", "1/3", "1/3"),
+            ("1/2", "1/2", "1/3"),
+            ("0/1", "1/2", "1/1"),
+            ("1/2", "1/3", "1/2", "1/4"),
+            ("1/2", "1/2", "1/2", "1/2", "1/3"),
+        )
+    ]
+    trials = built + [
+        random_set(rng, rng.randint(2, 5), rng.randint(1, 12)) for _ in range(150)
+    ]
+    sessions = failed = 0
+    for trial in trials:
+        K, L = trial.size, trial.period
+        for gamma in range(1, K):
+            try:
+                ErasureCodeSpec.from_set(trial, gamma)
+            except SessionConfigError:
+                continue  # the closed form is not integral
+            for periods in (1, 2, 3, 5, 8):
+                shifts = tuple(rng.choice((0, rng.randrange(L))) for _ in range(K))
+                report = _assert_matches_receive_chain(trial, gamma, periods, shifts)
+                sessions += 1
+                failed += not report.all_decoded
+    # random sets run with trust_ti=True must include sessions that fail
+    assert sessions > 300 and failed > 0
+
+
+def test_session_scales_to_long_periods_and_many_periods():
+    # K=6, L=30030: 1000 periods are 3*10^7 slots per user
+    ladder = construct_si(("1/2", "2/3", "3/5", "1/7", "2/11", "7/13"))
+    assert ladder.period == 30030
+    report = run_session(ladder, gamma=3, periods=1000, seed=5, trust_ti=True)
+    assert report.all_decoded
+    for u, outcomes in enumerate(report.per_user):
+        assert len(outcomes) in (999, 1000)
+        for o in outcomes:
+            assert o.survived == report.code.required_per_period[u]
