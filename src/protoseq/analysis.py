@@ -182,37 +182,41 @@ def throughput_at(
 # exhaustive invariance verdicts
 
 
-def _correlations(first: int, rest_tables: Sequence[Sequence[int]]) -> Iterator[int]:
-    """Correlation of a tuple at every shift class, first shift pinned to zero.
+def _correlations(
+    first: int, rest_tables: Sequence[Sequence[int]]
+) -> Iterator[list[int]]:
+    """Correlations of a tuple at every shift class, first shift pinned to zero.
 
-    ``rest_tables`` holds the rotation tables of the other members.  The
-    values come in lexicographic order of the other members' shifts, as
-    ``itertools.product(range(L), repeat=len(rest_tables))`` lists them,
-    so the first value is the all-zero class.
+    ``rest_tables`` holds the rotation tables of the other members.  One
+    list is yielded per shift of the middle members (all but the last),
+    in lexicographic order of those shifts, as
+    ``itertools.product(range(L), repeat=len(rest_tables) - 1)`` lists
+    them; entry t of the list is the correlation with the last member at
+    shift t.  So the first value of the first list is the all-zero class.
     """
-    for masks in itertools.product(*rest_tables):
+    *middle_tables, last_table = rest_tables
+    for middle in itertools.product(*middle_tables):
         acc = first
-        for m in masks:
+        for m in middle:
             acc &= m
-            if not acc:
-                break
-        yield acc.bit_count()
+        yield [(acc & r).bit_count() for r in last_table]
 
 
 def _ti_sweep(
     sset: SequenceSet, gamma: int, budget: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
     """Per-user success counts at every shift class, first shift pinned to zero.
 
-    Yields ``(rest, counts)`` with the other users' shifts in
-    lexicographic order.  The capability and the budget are checked
-    before the first class is evaluated.
+    Yields one block ``(outer, columns)`` per shift ``outer`` of users
+    2..K-1, in lexicographic order; ``columns[i][t]`` is user i+1's
+    success count with the last user at shift t.  The capability and the
+    budget are checked before the first class is evaluated.
 
-    The first K - 1 users are counted once per shift of users 2..K-1:
-    a slot where at most gamma - 1 of them fire (``room``) lets every
-    packet through whatever the last user does, and a slot where exactly
-    gamma of them fire (``edge``) lets theirs through only while the last
-    user is silent.  Each rotation of the last user then costs K popcounts.
+    The first K - 1 users are counted once per block: a slot where at
+    most gamma - 1 of them fire (``room``) lets every packet through
+    whatever the last user does, and a slot where exactly gamma of them
+    fire (``edge``) lets theirs through only while the last user is
+    silent.  Each rotation of the last user then costs K popcounts.
     """
     K = sset.size
     L = sset.period
@@ -231,16 +235,15 @@ def _ti_sweep(
         planes = count_planes(head)
         room = at_most_mask(planes, gamma - 1, L)
         edge = exact_count_mask(planes, gamma, L)
-        # per head user: successes while the last user is silent, and the
-        # edge slots it loses when the last user fires there too
-        head_terms = [
-            ((m & room).bit_count() + (m & edge).bit_count(), m & edge) for m in head
-        ]
-        for tau, r in enumerate(last_table):
-            yield (*outer, tau), (
-                *[base - (e & r).bit_count() for base, e in head_terms],
-                (r & room).bit_count(),
-            )
+        columns = []
+        for m in head:
+            # successes while the last user is silent, less the edge slots
+            # lost where the last user fires too
+            e = m & edge
+            base = (m & room).bit_count() + e.bit_count()
+            columns.append([base - (e & r).bit_count() for r in last_table])
+        columns.append([(r & room).bit_count() for r in last_table])
+        yield outer, columns
 
 
 def _si_cost(K: int, L: int, sizes: Sequence[int]) -> int:
@@ -269,21 +272,23 @@ def _constant_correlation_scan(
                 continue
             first = tables[users[0] - 1][0]
             rest_tables = [tables[u - 1] for u in users[1:]]
-            base = None
-            shifts = itertools.product(range(L), repeat=m - 1)
-            for rest, h in zip(shifts, _correlations(first, rest_tables)):
-                checked += 1
-                if base is None:
-                    base = h
-                elif h != base:
+            middles = itertools.product(range(L), repeat=m - 2)
+            flat = None
+            for middle, block in zip(middles, _correlations(first, rest_tables)):
+                if flat is None:
+                    flat = [block[0]] * L
+                if block != flat:
+                    t = next(t for t, h in enumerate(block) if h != flat[0])
+                    checked += t + 1
                     witness = Witness(
                         users=users,
                         shifts_a=(0,) * m,
-                        shifts_b=(0,) + rest,
-                        value_a=base,
-                        value_b=h,
+                        shifts_b=(0, *middle, t),
+                        value_a=flat[0],
+                        value_b=block[t],
                     )
                     return PropertyVerdict(prop, False, witness, checked)
+                checked += L
     return PropertyVerdict(prop, True, None, checked)
 
 
@@ -322,24 +327,30 @@ def is_ti(
     """
     K = sset.size
     L = sset.period
-    baseline: tuple[int, ...] | None = None
+    flat: list[list[int]] | None = None
     checked = 0
-    for rest, counts in _ti_sweep(sset, gamma, budget):
-        checked += 1
-        if baseline is None:
-            baseline = counts
-        elif counts != baseline:
-            i = next(i for i in range(K) if counts[i] != baseline[i])
+    for outer, columns in _ti_sweep(sset, gamma, budget):
+        if flat is None:
+            flat = [[col[0]] * L for col in columns]
+        if columns != flat:
+            t, i = next(
+                (t, i)
+                for t in range(L)
+                for i in range(K)
+                if columns[i][t] != flat[i][0]
+            )
+            checked += t + 1
             witness = Witness(
                 users=(i + 1,),
                 shifts_a=(0,) * K,
-                shifts_b=(0,) + rest,
-                value_a=Fraction(baseline[i], L),
-                value_b=Fraction(counts[i], L),
+                shifts_b=(0, *outer, t),
+                value_a=Fraction(flat[i][0], L),
+                value_b=Fraction(columns[i][t], L),
             )
             return PropertyVerdict("TI", False, witness, checked, gamma)
+        checked += L
     verdict = PropertyVerdict("TI", True, None, checked, gamma)
-    if baseline is not None and all(c > 0 for c in baseline):
+    if flat is not None and all(col[0] > 0 for col in flat):
         pairwise = is_pairwise_si(sset, budget=budget)
         if not pairwise.holds:
             raise StructuralContradictionError(
@@ -624,6 +635,10 @@ def structural_conclusion(
 
 def _pair_correlation_constant(m1: int, m2: int, period: int) -> bool:
     base = (m1 & m2).bit_count()
+    # the correlations over all shifts sum to |m1|*|m2|, so a constant one
+    # must equal that sum over the period
+    if period * base != m1.bit_count() * m2.bit_count():
+        return False
     r = m2
     low = 1
     top = period - 1
@@ -663,9 +678,9 @@ def find_pairwise_si_not_si(
         if not _pair_correlation_constant(m2, m3, L):
             continue
         pairwise_found += 1
-        base = (m1 & m2 & m3).bit_count()
+        flat = [(m1 & m2 & m3).bit_count()] * L
         rest_tables = (rotation_table(m2, L), rotation_table(m3, L))
-        if any(h != base for h in _correlations(m1, rest_tables)):
+        if any(block != flat for block in _correlations(m1, rest_tables)):
             hits.append(
                 SequenceSet(
                     tuple(BinarySequence.from_mask(m, L) for m in (m1, m2, m3))

@@ -53,6 +53,11 @@ __all__ = [
 #: Default cap on slot evaluations per verdict, and on the slots a build holds.
 DEFAULT_BUDGET = 10**8
 
+#: Most entries one request may allocate in an array or a list of records:
+#: duty-factor grid steps, Monte-Carlo runs times users (or times transmit
+#: patterns), and a session's users times periods.
+MAX_ENTRIES = 10**7
+
 
 class ProtoseqError(Exception):
     """Base class for toolkit-specific failures."""
@@ -88,8 +93,14 @@ def rotate_mask(mask: int, tau: int, period: int) -> int:
 
 
 def rotation_table(mask: int, period: int) -> tuple[int, ...]:
-    """Every rotation of a mask: entry t is ``rotate_mask(mask, t, period)``."""
-    return tuple(rotate_mask(mask, t, period) for t in range(period))
+    """Every rotation of a mask: entry t is ``rotate_mask(mask, t, period)``.
+
+    Entry t is read as the period-long window at bit t of the mask
+    written twice in a row.
+    """
+    full = full_mask(period)
+    doubled = mask | (mask << period)
+    return tuple([(doubled >> t) & full for t in range(period)])
 
 
 def count_planes(masks: Iterable[int]) -> list[int]:

@@ -33,12 +33,13 @@ from math import ceil, log2
 import numpy as np
 
 from .core import (
+    MAX_ENTRIES,
+    BudgetExceededError,
     ProtoseqError,
     SequenceSet,
     ShiftsLike,
     as_shifts,
     rotate_mask,
-    rotation_table,
     validate_gamma,
 )
 from .analysis import DEFAULT_BUDGET, is_ti, success_counts
@@ -137,17 +138,17 @@ def _stats_from_counts(counts: np.ndarray, denom: int) -> tuple[UserStats, ...]:
 
 
 def _protocol_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
-    K = sset.size
     L = sset.period
     rng = _generator(cfg.seed)
-    shifts = rng.integers(0, L, size=(cfg.runs, K))
-    tables = [rotation_table(m, L) for m in sset.masks]
-    counts = np.empty((cfg.runs, K), dtype=np.int64)
-    for r in range(cfg.runs):
-        row = shifts[r]
-        masks = [tables[i][row[i]] for i in range(K)]
-        counts[r] = success_counts(masks, cfg.gamma, L)
-    return counts
+    shifts = rng.integers(0, L, size=(cfg.runs, sset.size))
+    # rotate each user's mask only to the shifts drawn for it
+    columns = []
+    for i, m in enumerate(sset.masks):
+        drawn, which = np.unique(shifts[:, i], return_inverse=True)
+        rotated = [rotate_mask(m, tau, L) for tau in drawn.tolist()]
+        columns.append([rotated[j] for j in which.tolist()])
+    counts = [success_counts(masks, cfg.gamma, L) for masks in zip(*columns)]
+    return np.array(counts, dtype=np.int64)
 
 
 def _random_access_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
@@ -188,10 +189,21 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
     Protocol-sequence runs draw shifts and are measured over one period
     (the schedule makes longer horizons identical slot for slot); the
     random-access baseline is measured over ``horizon`` periods' worth
-    of slots.  Results are deterministic for a fixed seed.
+    of slots.  Results are deterministic for a fixed seed.  Runs whose
+    arrays would hold more than ``core.MAX_ENTRIES`` entries (runs times
+    K, or runs times 2^K for the joint random-access sampler) are refused
+    with ``BudgetExceededError`` before anything is drawn.
     """
-    validate_gamma(cfg.gamma, sset.size)
+    K = sset.size
+    validate_gamma(cfg.gamma, K)
     L = sset.period
+    joint = cfg.scheme == "random_access" and K <= _PATTERN_USER_LIMIT
+    entries = cfg.runs * (1 << K if joint else K)
+    if entries > MAX_ENTRIES:
+        raise BudgetExceededError(
+            f"{cfg.runs} runs need arrays of {entries} entries, "
+            f"the limit is {MAX_ENTRIES}"
+        )
     if cfg.scheme == "protocol_sequences":
         counts = _protocol_counts(sset, cfg)
         denom = L
@@ -309,13 +321,20 @@ def run_session(
     user's success count at the session's shifts (see the module
     docstring).  Only complete periods inside the horizon are judged.
     Unless ``trust_ti`` is set, the set is first verified to be
-    throughput-invariant at ``gamma``.
+    throughput-invariant at ``gamma``.  A session of more than
+    ``core.MAX_ENTRIES`` period records (K times ``periods``) is refused
+    with ``BudgetExceededError`` before anything is built.
     """
     K = sset.size
     L = sset.period
     validate_gamma(gamma, K)
     if periods < 1:
         raise ValueError("periods must be at least 1")
+    if K * periods > MAX_ENTRIES:
+        raise BudgetExceededError(
+            f"{periods} periods of {K} users need {K * periods} period "
+            f"records, the limit is {MAX_ENTRIES}"
+        )
     if shifts is None:
         if seed is None:
             raise ValueError("either shifts or a seed is required")

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BudgetExceededError, validate_gamma
+from .core import MAX_ENTRIES, BudgetExceededError, validate_gamma
 from .analysis import DEFAULT_BUDGET, _ti_sweep
 from .construction import as_duty_factors, construct_si
 
@@ -120,10 +120,10 @@ def consistency_check(
     sset = construct_si(duty)
     totals = [0] * sset.size
     classes = 0
-    for _, counts in _ti_sweep(sset, gamma, budget):
-        classes += 1
-        for i, c in enumerate(counts):
-            totals[i] += c
+    for _, columns in _ti_sweep(sset, gamma, budget):
+        classes += sset.period
+        for i, column in enumerate(columns):
+            totals[i] += sum(column)
     average = tuple(Fraction(t, classes * sset.period) for t in totals)
     return average == ti_throughput(duty, gamma).per_user
 
@@ -135,10 +135,6 @@ def _symmetric_values(f: np.ndarray, users: int, gamma: int) -> np.ndarray:
     return total
 
 
-#: Most steps of the coarse grid ``optimal_duty`` allocates and scans.
-_MAX_GRID_STEPS = 10**7
-
-
 def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDuty:
     """Best common duty factor for the symmetric throughput, by grid search.
 
@@ -147,16 +143,16 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     is assumed.  Ties break toward the smaller duty factor.  The search
     itself runs in floating point; the winner is also re-scored exactly
     at nearby rationals for the report.  ``resolution`` must lie in
-    (0, 1], and a coarse grid of more than ``_MAX_GRID_STEPS`` steps is
+    (0, 1], and a coarse grid of more than ``core.MAX_ENTRIES`` steps is
     refused with ``BudgetExceededError`` before anything is allocated.
     """
     validate_gamma(gamma, users)
     if not 0 < resolution <= 1:
         raise ValueError(f"resolution must lie in (0, 1], got {resolution}")
     steps = max(2, round(1.0 / resolution))
-    if steps > _MAX_GRID_STEPS:
+    if steps > MAX_ENTRIES:
         raise BudgetExceededError(
-            f"a grid of {steps} steps exceeds the limit of {_MAX_GRID_STEPS}"
+            f"a grid of {steps} steps exceeds the limit of {MAX_ENTRIES}"
         )
     grid = np.linspace(0.0, 1.0, steps + 1)
     coarse = _symmetric_values(grid, users, gamma)

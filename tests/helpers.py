@@ -2,8 +2,15 @@
 
 import itertools
 import random
+from fractions import Fraction
 
-from protoseq import BinarySequence, SequenceSet, count_config
+from protoseq import (
+    BinarySequence,
+    PropertyVerdict,
+    SequenceSet,
+    Witness,
+    count_config,
+)
 
 
 def random_sequence(rng: random.Random, period: int) -> BinarySequence:
@@ -44,3 +51,54 @@ def config_constancy_si_oracle(sset) -> bool:
         elif counts != baseline:
             return False
     return True
+
+
+def first_difference_ti(sset, gamma, counts_at):
+    """TI verdict of a brute-force scan of the pinned shift classes.
+
+    Classes are visited in lexicographic order of the other users'
+    shifts; ``counts_at(shifts)`` gives every user's success count.
+    """
+    K = sset.size
+    L = sset.period
+    baseline = None
+    checked = 0
+    for rest in itertools.product(range(L), repeat=K - 1):
+        checked += 1
+        counts = tuple(counts_at((0,) + rest))
+        if baseline is None:
+            baseline = counts
+        elif counts != baseline:
+            i = next(i for i in range(K) if counts[i] != baseline[i])
+            witness = Witness(
+                (i + 1,),
+                (0,) * K,
+                (0,) + rest,
+                Fraction(baseline[i], L),
+                Fraction(counts[i], L),
+            )
+            return PropertyVerdict("TI", False, witness, checked, gamma)
+    return PropertyVerdict("TI", True, None, checked, gamma)
+
+
+def first_difference_si(sset, sizes, prop, correlation_at):
+    """SI or pairwise-SI verdict of a brute-force scan.
+
+    Tuples are visited by size, then in lexicographic order, and each
+    tuple's pinned shift classes in lexicographic order;
+    ``correlation_at(users, shifts)`` gives the tuple's correlation.
+    """
+    L = sset.period
+    checked = 0
+    for m in sizes:
+        for users in itertools.combinations(range(1, sset.size + 1), m):
+            base = None
+            for rest in itertools.product(range(L), repeat=m - 1):
+                checked += 1
+                h = correlation_at(users, (0,) + rest)
+                if base is None:
+                    base = h
+                elif h != base:
+                    witness = Witness(users, (0,) * m, (0,) + rest, base, h)
+                    return PropertyVerdict(prop, False, witness, checked)
+    return PropertyVerdict(prop, True, None, checked)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -34,7 +35,12 @@ from protoseq import (
 from protoseq import reference
 from protoseq.core import rotate_mask
 
-from helpers import config_constancy_si_oracle, random_set
+from helpers import (
+    config_constancy_si_oracle,
+    first_difference_si,
+    first_difference_ti,
+    random_set,
+)
 
 
 def sset(*rows):
@@ -173,12 +179,15 @@ def test_is_ti_gamma_validation(example_set):
         is_ti(example_set, 3)
 
 
-def _brute_force_ti(trial, gamma):
-    """Success counts at every pinned shift class, rotated and counted directly."""
+def _direct_counts(trial, gamma):
+    """Success counts at one shift vector, from directly rotated masks."""
     L = trial.period
-    for rest in itertools.product(range(L), repeat=trial.size - 1):
-        masks = [rotate_mask(m, t, L) for m, t in zip(trial.masks, (0,) + rest)]
-        yield rest, analysis.success_counts(masks, gamma, L)
+
+    def counts_at(shifts):
+        masks = [rotate_mask(m, t, L) for m, t in zip(trial.masks, shifts)]
+        return analysis.success_counts(masks, gamma, L)
+
+    return counts_at
 
 
 def test_ti_sweep_matches_direct_counts_and_first_difference_scan():
@@ -188,28 +197,40 @@ def test_ti_sweep_matches_direct_counts_and_first_difference_scan():
         trial = random_set(rng, K, rng.randint(1, 8 if K < 5 else 5))
         L = trial.period
         for gamma in range(1, K):
-            expected = list(_brute_force_ti(trial, gamma))
-            assert list(analysis._ti_sweep(trial, gamma, DEFAULT_BUDGET)) == expected
-            baseline = expected[0][1]
-            diff = next(
-                (k for k, (_, c) in enumerate(expected) if c != baseline), None
-            )
-            verdict = is_ti(trial, gamma)
-            if diff is None:
-                assert verdict.holds and verdict.witness is None
-                assert verdict.configurations_checked == L ** (K - 1)
-                continue
-            rest, counts = expected[diff]
-            i = next(i for i in range(K) if counts[i] != baseline[i])
-            assert not verdict.holds
-            assert verdict.configurations_checked == diff + 1
-            assert verdict.witness == Witness(
-                (i + 1,),
-                (0,) * K,
-                (0,) + rest,
-                Fraction(baseline[i], L),
-                Fraction(counts[i], L),
-            )
+            counts_at = _direct_counts(trial, gamma)
+            blocks = list(analysis._ti_sweep(trial, gamma, DEFAULT_BUDGET))
+            outers = list(itertools.product(range(L), repeat=K - 2))
+            # one block per shift of users 2..K-1, in lexicographic order,
+            # holding each user's counts at the last user's L shifts
+            assert [outer for outer, _ in blocks] == outers
+            for outer, columns in blocks:
+                assert len(columns) == K
+                for t in range(L):
+                    counts = counts_at((0, *outer, t))
+                    assert tuple(column[t] for column in columns) == counts
+            expected = first_difference_ti(trial, gamma, counts_at)
+            assert is_ti(trial, gamma) == expected
+            if expected.holds:
+                assert expected.configurations_checked == L ** (K - 1)
+
+
+def test_si_sweeps_match_first_difference_scan():
+    rng = random.Random(44)
+    for _ in range(120):
+        K = rng.randint(1, 5)
+        trial = random_set(rng, K, rng.randint(1, 8 if K < 5 else 5))
+        correlation_at = partial(hamming_cross_correlation, trial)
+        expected = first_difference_si(trial, range(1, K + 1), "SI", correlation_at)
+        assert is_si(trial) == expected
+        sizes = [2] if K >= 2 else []
+        expected = first_difference_si(trial, sizes, "PAIRWISE_SI", correlation_at)
+        assert is_pairwise_si(trial) == expected
+        # random sets almost always fail at a pair, so scan the larger
+        # tuples on their own to reach witnesses with middle shifts
+        for m in range(3, K + 1):
+            expected = first_difference_si(trial, [m], "SI", correlation_at)
+            scan = analysis._constant_correlation_scan(trial, [m], "SI", DEFAULT_BUDGET)
+            assert scan == expected
 
 
 def test_throughput_at_examples(example_set):

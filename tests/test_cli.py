@@ -258,6 +258,22 @@ def test_construct_over_budget_exits_three(capsys):
     assert err.startswith("error: ") and "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--runs", "10000000000"),
+        ("simulate", "--runs", "10000000000", "--scheme", "random"),
+        ("session", "--periods", "1000000000", "--trust-ti"),
+        ("session", "--periods", "1000000000"),
+    ],
+)
+def test_oversized_runs_and_periods_exit_three(capsys, worked_file, argv):
+    code, out, err = run_cli(capsys, *argv, "--gamma", "1", "--seed", "0", worked_file)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "limit" in err
+
+
 @pytest.mark.parametrize("extra", [(), ("--trust-ti",)])
 def test_session_on_non_ti_set_exits_one(capsys, tmp_path, extra):
     path = tmp_path / "pair.psq"

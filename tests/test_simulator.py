@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from protoseq import (
+    BudgetExceededError,
     ErasureCodeSpec,
     SequenceSet,
     SessionConfigError,
@@ -14,6 +15,8 @@ from protoseq import (
     symmetric_throughput,
 )
 from protoseq import reference, simulator
+from protoseq.analysis import success_counts
+from protoseq.core import rotate_mask
 
 from helpers import random_set
 
@@ -85,6 +88,50 @@ def test_random_access_slot_fallback_agrees(monkeypatch):
     expected = symmetric_throughput(Fraction(1, 3), 3, 2)
     for stats in (fast.per_user + slow.per_user):
         assert abs(float(stats.mean) - float(expected)) < 0.02
+
+
+def test_protocol_counts_match_success_counts_at_the_drawn_shifts():
+    rng = random.Random(17)
+    for _ in range(30):
+        trial = random_set(rng, rng.randint(2, 5), rng.randint(1, 9))
+        K, L = trial.size, trial.period
+        gamma = rng.randint(1, K - 1)
+        # 40 runs exceed every period here, so users redraw shifts
+        cfg = SimConfig(gamma=gamma, runs=rng.choice((1, 3, 40)), seed=rng.randrange(99))
+        shifts = simulator._generator(cfg.seed).integers(0, L, size=(cfg.runs, K))
+        expected = [
+            success_counts(
+                [rotate_mask(m, int(t), L) for m, t in zip(trial.masks, row)], gamma, L
+            )
+            for row in shifts
+        ]
+        counts = simulator._protocol_counts(trial, cfg)
+        assert counts.shape == (cfg.runs, K)
+        assert counts.tolist() == [list(c) for c in expected]
+
+
+@pytest.mark.parametrize(
+    "scheme, users, entries_per_run",
+    [
+        ("protocol_sequences", 3, 3),  # runs x K
+        ("random_access", 3, 8),  # runs x 2^K, joint sampler
+        ("random_access", 14, 14),  # runs x K, slot-by-slot fallback
+    ],
+)
+def test_monte_carlo_refuses_oversized_run_arrays(monkeypatch, scheme, users,
+                                                  entries_per_run):
+    sset = construct_si(["1/2"] * users)
+    monkeypatch.setattr(simulator, "MAX_ENTRIES", 2 * entries_per_run)
+    run_monte_carlo(sset, SimConfig(gamma=1, runs=2, seed=0, scheme=scheme))
+    with pytest.raises(BudgetExceededError):
+        run_monte_carlo(sset, SimConfig(gamma=1, runs=3, seed=0, scheme=scheme))
+
+
+def test_monte_carlo_refuses_huge_run_counts_up_front(example_set):
+    for scheme in ("protocol_sequences", "random_access"):
+        cfg = SimConfig(gamma=1, runs=10**10, seed=0, scheme=scheme)
+        with pytest.raises(BudgetExceededError):
+            run_monte_carlo(example_set, cfg)
 
 
 def test_sim_config_validation():
@@ -234,3 +281,12 @@ def test_session_scales_to_long_periods_and_many_periods():
         assert len(outcomes) in (999, 1000)
         for o in outcomes:
             assert o.survived == report.code.required_per_period[u]
+
+
+def test_session_refuses_oversized_period_records(example_set, monkeypatch):
+    with pytest.raises(BudgetExceededError):
+        run_session(example_set, gamma=1, periods=10**9, seed=0, trust_ti=True)
+    monkeypatch.setattr(simulator, "MAX_ENTRIES", 30)  # K = 3
+    run_session(example_set, gamma=1, periods=10, seed=0, trust_ti=True)
+    with pytest.raises(BudgetExceededError):
+        run_session(example_set, gamma=1, periods=11, seed=0, trust_ti=True)
