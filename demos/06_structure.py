@@ -4,9 +4,10 @@ Shifting a tuple redistributes its slot histogram, but once every
 smaller subset is shift-invariant, the whole redistribution collapses
 to one degree of freedom with fixed binomial ratios.  That is the
 engine behind the implications that force a throughput-invariant set
-to be fully shift-invariant in many regimes; a seeded random search for
-a pairwise-invariant triple that is NOT fully invariant keeps coming up
-empty, which is exactly the open question.
+to be fully shift-invariant in many regimes.  Pairwise invariance alone
+does not force full invariance: the smallest known triple that is
+pairwise invariant but not fully invariant has period 12, and random
+searches rarely meet one.
 """
 
 import random
@@ -17,6 +18,8 @@ from protoseq import (
     construct_si,
     delta_record,
     find_pairwise_si_not_si,
+    is_pairwise_si,
+    is_si,
     structural_conclusion,
 )
 
@@ -46,12 +49,30 @@ for spec, gamma in [(("2/3", "1/3", "1/3"), 1), (("1/2", "1/2", "1/2"), 2)]:
         f"{report.si.holds if report.si else None}"
     )
 
-print("\nhunting for a pairwise-invariant triple that is not fully invariant:")
+print("\na pairwise-invariant triple that is not fully invariant (period 12):")
+triple = SequenceSet.from_strings(["101010101010", "100100100100", "111001110000"])
+for seq in triple.sequences:
+    print(f"  {seq.to_string()}")
+pairwise = is_pairwise_si(triple)
+si = is_si(triple)
+w = si.witness
+print(
+    f"  pairwise SI: {pairwise.holds} ({pairwise.configurations_checked} "
+    f"configurations); SI: {si.holds}, users {w.users} correlate "
+    f"{w.value_a} at shifts {w.shifts_a} but {w.value_b} at {w.shifts_b}"
+)
+a, b = (0, 0, 0), (0, 0, 2)
+rec = delta_record(triple, (1, 2, 3), a, b)
+print(
+    f"  shifts {a} -> {b}: deltas = {rec.deltas}, identity holds = "
+    f"{check_lemma_delta(triple, (1, 2, 3), a, b)}"
+)
+
+print("\nhunting for more such triples at random:")
 result = find_pairwise_si_not_si(200_000, seed=42)
 print(
     f"  {result.candidates_tried} candidates, "
     f"{result.pairwise_si_found} pairwise-invariant triples, "
     f"{len(result.hits)} counterexamples"
 )
-print("  an empty hunt proves nothing, but it is consistent with full")
-print("  invariance being the only way to reach invariant throughput.")
+print("  an empty hunt proves nothing; the smallest known period is 12.")

@@ -13,6 +13,15 @@ common offset to all shifts only relabels slots cyclically, so each
 orbit is visited once.  Every verdict is computed in exact integer and
 rational arithmetic.  Searches that would exceed the evaluation budget
 raise instead of silently passing.
+
+The sweeps score all L shifts of a tuple's last member at once.  Masks
+are spread into byte-aligned lanes (``_Lanes``: slot t at bit w·t, with
+w = 8·ceil(bit_length(L)/8)), and one big-integer product of a spread
+mask with the last member's spread mask read backwards leaves the count
+at each shift in its own field.  A block of L shift classes then costs
+one product of two L·w-bit integers per user (Karatsuba time in
+CPython, about (L·w)^1.6), instead of L popcounts run one by one in the
+interpreter.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 from typing import Iterator, Sequence
 
@@ -38,7 +48,6 @@ from .core import (
     exact_count_mask,
     hamming_cross_correlation,
     rotate_mask,
-    rotation_table,
     theta_profile,
     validate_gamma,
     validate_users,
@@ -182,41 +191,132 @@ def throughput_at(
 # exhaustive invariance verdicts
 
 
+#: Maps the text digits of a mask, b"0" and b"1", to the bytes 0 and 1.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _lane_width(period: int) -> int:
+    """Bits per lane: whole bytes, enough to hold any count up to ``period``."""
+    return 8 * -(-period.bit_length() // 8)
+
+
+def _field_sum(packed: int, width: int) -> int:
+    """Sum of the ``width``-bit fields of a packed column, by byte sums."""
+    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    if width == 8:
+        return sum(data)
+    k = width // 8
+    return sum(sum(data[j::k]) << (8 * j) for j in range(k))
+
+
+class _Lanes:
+    """Byte-aligned lane layout of one period for the shift sweeps.
+
+    A spread mask holds slot t of a schedule at bit ``width * t``, so a
+    field of ``width`` bits per slot.  Bitwise operations, ``count_planes``
+    and popcounts act on spread masks as on plain ones; only a mask of
+    slots with at most j transmitters is ANDed with ``ones``, since the
+    bits between lanes count zero transmitters.  Multiplying a spread
+    mask x by the spread of another schedule read backwards, q, adds up
+    |x & rot(last, tau)| for every tau at once: field f of
+    ``column(x, q)`` holds the count at tau = L - 1 - f.  No field
+    carries into the next, since each holds at most L.
+    """
+
+    __slots__ = ("period", "width", "bits", "full", "top", "ones")
+
+    def __init__(self, period: int) -> None:
+        self.period = period
+        self.width = w = _lane_width(period)
+        self.bits = w * period  # the size of a spread mask
+        self.full = (1 << self.bits) - 1
+        self.top = self.bits - w  # offset of field L - 1, the last member's shift 0
+        # a one in every field: the spread of the all-ones schedule
+        self.ones = int.from_bytes(b"\x01".ljust(w // 8, b"\0") * period, "little")
+
+    def _spread(self, mask: int, offset: int, order: str) -> int:
+        # byte j of the digits is slot L - 1 - j (a top bit set above the
+        # period keeps the leading zeros); read big-endian it lands in
+        # field L - 1 - j, read little-endian in field j
+        text = bin(mask | 1 << self.period)[3:]
+        digits = text.encode().translate(_DIGIT_BYTES)
+        if self.width > 8:
+            k = self.width // 8
+            buf = bytearray(self.period * k)
+            buf[offset::k] = digits
+            digits = buf
+        return int.from_bytes(digits, order)
+
+    def spread(self, mask: int) -> int:
+        """Mask with slot t moved to bit ``width * t``."""
+        return self._spread(mask, self.width // 8 - 1, "big")
+
+    def spread_reversed(self, mask: int) -> int:
+        """Mask with slot t moved to bit ``width * (period - 1 - t)``."""
+        return self._spread(mask, 0, "little")
+
+    def rotations(self, spread: int) -> list[int]:
+        """Entry t is the spread mask rotated by t slots (see ``rotate_mask``)."""
+        doubled = spread | (spread << self.bits)
+        full = self.full
+        return [(doubled >> b) & full for b in range(0, self.bits, self.width)]
+
+    def column(self, spread: int, last: int) -> int:
+        """Counts |mask & rot(last, tau)| for every tau, packed in fields.
+
+        ``last`` is ``spread_reversed`` of the last member; field f of the
+        result holds the count at tau = L - 1 - f, so the shifts run from
+        the top field down.
+        """
+        product = spread * last
+        return (product & self.full) + (product >> self.bits)
+
+    def field(self, packed: int, f: int) -> int:
+        return (packed >> (self.width * f)) & ((1 << self.width) - 1)
+
+
+#: The layout of a period, built once for the most recently swept periods.
+_lanes = lru_cache(maxsize=64)(_Lanes)
+
+
 def _correlations(
-    first: int, rest_tables: Sequence[Sequence[int]]
-) -> Iterator[list[int]]:
+    lanes: _Lanes, first: int, middle_tables: Sequence[Sequence[int]], last: int
+) -> Iterator[int]:
     """Correlations of a tuple at every shift class, first shift pinned to zero.
 
-    ``rest_tables`` holds the rotation tables of the other members.  One
-    list is yielded per shift of the middle members (all but the last),
-    in lexicographic order of those shifts, as
-    ``itertools.product(range(L), repeat=len(rest_tables) - 1)`` lists
-    them; entry t of the list is the correlation with the last member at
-    shift t.  So the first value of the first list is the all-zero class.
+    ``first`` is the spread mask of the first member, ``middle_tables``
+    the spread rotations of the middle members and ``last`` the
+    ``spread_reversed`` mask of the last member.  One packed column is
+    yielded per shift of the middle members, in lexicographic order of
+    those shifts, as ``itertools.product(range(L), repeat=len(middle_tables))``
+    lists them; its field L - 1 - t is the correlation with the last
+    member at shift t.  So the top field of the first column is the
+    all-zero class.
     """
-    *middle_tables, last_table = rest_tables
     for middle in itertools.product(*middle_tables):
         acc = first
         for m in middle:
             acc &= m
-        yield [(acc & r).bit_count() for r in last_table]
+        yield lanes.column(acc, last)
 
 
 def _ti_sweep(
     sset: SequenceSet, gamma: int, budget: int
-) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Per-user success counts at every shift class, first shift pinned to zero.
 
     Yields one block ``(outer, columns)`` per shift ``outer`` of users
-    2..K-1, in lexicographic order; ``columns[i][t]`` is user i+1's
-    success count with the last user at shift t.  The capability and the
+    2..K-1, in lexicographic order; ``columns[i]`` packs user i+1's
+    success counts with the last user at every shift in the fields of
+    ``_lanes(L)``, shift t in field L - 1 - t.  The capability and the
     budget are checked before the first class is evaluated.
 
     The first K - 1 users are counted once per block: a slot where at
     most gamma - 1 of them fire (``room``) lets every packet through
     whatever the last user does, and a slot where exactly gamma of them
     fire (``edge``) lets theirs through only while the last user is
-    silent.  Each rotation of the last user then costs K popcounts.
+    silent.  One product per user then scores every shift of the last
+    user at once.
     """
     K = sset.size
     L = sset.period
@@ -226,24 +326,39 @@ def _ti_sweep(
         raise BudgetExceededError(
             f"TI verification needs {cost} slot evaluations, budget is {budget}"
         )
-    pinned = sset.masks[0]
-    rest_tables = [rotation_table(m, L) for m in sset.masks[1:]]
-    last_table = rest_tables.pop()
+    lanes = _lanes(L)
+    ones = lanes.ones
+    column = lanes.column
+    pinned = lanes.spread(sset.masks[0])
+    tables = [lanes.rotations(lanes.spread(m)) for m in sset.masks[1:-1]]
+    last = lanes.spread_reversed(sset.masks[-1])
     shifts = itertools.product(range(L), repeat=K - 2)
-    for outer, middle in zip(shifts, itertools.product(*rest_tables)):
+    for outer, middle in zip(shifts, itertools.product(*tables)):
         head = (pinned, *middle)
         planes = count_planes(head)
-        room = at_most_mask(planes, gamma - 1, L)
-        edge = exact_count_mask(planes, gamma, L)
+        room = at_most_mask(planes, gamma - 1, lanes.bits) & ones
+        edge = exact_count_mask(planes, gamma, lanes.bits)
         columns = []
         for m in head:
             # successes while the last user is silent, less the edge slots
             # lost where the last user fires too
             e = m & edge
             base = (m & room).bit_count() + e.bit_count()
-            columns.append([base - (e & r).bit_count() for r in last_table])
-        columns.append([(r & room).bit_count() for r in last_table])
+            columns.append(base * ones - column(e, last))
+        columns.append(column(room, last))
         yield outer, columns
+
+
+class _Memo(dict):
+    """Dictionary that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _si_cost(K: int, L: int, sizes: Sequence[int]) -> int:
@@ -260,9 +375,14 @@ def _constant_correlation_scan(
         raise BudgetExceededError(
             f"{prop} verification needs {cost} slot evaluations, budget is {budget}"
         )
-    tables = []
     if any(size >= 2 for size in sizes):
-        tables = [rotation_table(m, L) for m in sset.masks]
+        lanes = _lanes(L)
+    masks = sset.masks
+    # each user's spread masks are made on first use: most scans of
+    # random sets stop at the first pair
+    spread = _Memo(lambda u: lanes.spread(masks[u - 1]))
+    spread_reversed = _Memo(lambda u: lanes.spread_reversed(masks[u - 1]))
+    rotations = _Memo(lambda u: lanes.rotations(spread[u]))
     checked = 0
     for m in sizes:
         for users in itertools.combinations(range(1, K + 1), m):
@@ -270,22 +390,27 @@ def _constant_correlation_scan(
                 # a single schedule's correlation is its ones count at any shift
                 checked += 1
                 continue
-            first = tables[users[0] - 1][0]
-            rest_tables = [tables[u - 1] for u in users[1:]]
+            first = spread[users[0]]
+            middle_tables = [rotations[u] for u in users[1:-1]]
+            last = spread_reversed[users[-1]]
             middles = itertools.product(range(L), repeat=m - 2)
+            blocks = _correlations(lanes, first, middle_tables, last)
             flat = None
-            for middle, block in zip(middles, _correlations(first, rest_tables)):
+            for middle, block in zip(middles, blocks):
                 if flat is None:
-                    flat = [block[0]] * L
+                    value = block >> lanes.top
+                    flat = value * lanes.ones
                 if block != flat:
-                    t = next(t for t, h in enumerate(block) if h != flat[0])
+                    # the first differing shift is the highest differing field
+                    f = ((block ^ flat).bit_length() - 1) // lanes.width
+                    t = L - 1 - f
                     checked += t + 1
                     witness = Witness(
                         users=users,
                         shifts_a=(0,) * m,
                         shifts_b=(0, *middle, t),
-                        value_a=flat[0],
-                        value_b=block[t],
+                        value_a=value,
+                        value_b=lanes.field(block, f),
                     )
                     return PropertyVerdict(prop, False, witness, checked)
                 checked += L
@@ -327,30 +452,33 @@ def is_ti(
     """
     K = sset.size
     L = sset.period
-    flat: list[list[int]] | None = None
+    flat: list[int] | None = None
     checked = 0
     for outer, columns in _ti_sweep(sset, gamma, budget):
         if flat is None:
-            flat = [[col[0]] * L for col in columns]
+            lanes = _lanes(L)
+            first = [col >> lanes.top for col in columns]
+            flat = [v * lanes.ones for v in first]
         if columns != flat:
-            t, i = next(
-                (t, i)
-                for t in range(L)
-                for i in range(K)
-                if columns[i][t] != flat[i][0]
-            )
+            # the first differing class: the earliest shift of the last
+            # user, which is the highest differing field, then the lowest user
+            w = lanes.width
+            tops = [((c ^ g).bit_length() - 1) // w for c, g in zip(columns, flat)]
+            f = max(tops)
+            i = tops.index(f)
+            t = L - 1 - f
             checked += t + 1
             witness = Witness(
                 users=(i + 1,),
                 shifts_a=(0,) * K,
                 shifts_b=(0, *outer, t),
-                value_a=Fraction(flat[i][0], L),
-                value_b=Fraction(columns[i][t], L),
+                value_a=Fraction(first[i], L),
+                value_b=Fraction(lanes.field(columns[i], f), L),
             )
             return PropertyVerdict("TI", False, witness, checked, gamma)
         checked += L
     verdict = PropertyVerdict("TI", True, None, checked, gamma)
-    if flat is not None and all(col[0] > 0 for col in flat):
+    if flat is not None and all(v > 0 for v in first):
         pairwise = is_pairwise_si(sset, budget=budget)
         if not pairwise.holds:
             raise StructuralContradictionError(
@@ -658,10 +786,10 @@ def find_pairwise_si_not_si(
     """Seeded random hunt for triples whose pairs are all SI but whose
     triple correlation is not.
 
-    Whether such triples exist at all is open; a run with zero hits is
-    reported as exactly that and proves nothing.  Any hit found is worth
-    freezing as a regression fixture, since it exercises the histogram
-    delta identity with a non-zero top bucket.
+    Such triples exist, but they are rare: the smallest known period is
+    12 (101010101010, 100100100100, 111001110000).  A run with zero hits
+    is reported as exactly that and proves nothing.  A hit exercises the
+    histogram delta identity with a non-zero top bucket.
     """
     rng = random.Random(seed)
     hits: list[SequenceSet] = []
@@ -678,9 +806,15 @@ def find_pairwise_si_not_si(
         if not _pair_correlation_constant(m2, m3, L):
             continue
         pairwise_found += 1
-        flat = [(m1 & m2 & m3).bit_count()] * L
-        rest_tables = (rotation_table(m2, L), rotation_table(m3, L))
-        if any(block != flat for block in _correlations(m1, rest_tables)):
+        if not (m1 and m2 and m3):
+            # an empty member makes the triple's correlation 0 at every shift
+            continue
+        lanes = _lanes(L)
+        flat = (m1 & m2 & m3).bit_count() * lanes.ones
+        first = lanes.spread(m1)
+        middle = lanes.rotations(lanes.spread(m2))
+        blocks = _correlations(lanes, first, [middle], lanes.spread_reversed(m3))
+        if any(block != flat for block in blocks):
             hits.append(
                 SequenceSet(
                     tuple(BinarySequence.from_mask(m, L) for m in (m1, m2, m3))

@@ -32,6 +32,7 @@ from math import ceil, log2
 
 import numpy as np
 
+from . import core
 from .core import (
     MAX_ENTRIES,
     BudgetExceededError,
@@ -192,7 +193,11 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
     of slots.  Results are deterministic for a fixed seed.  Runs whose
     arrays would hold more than ``core.MAX_ENTRIES`` entries (runs times
     K, or runs times 2^K for the joint random-access sampler) are refused
-    with ``BudgetExceededError`` before anything is drawn.
+    with ``BudgetExceededError`` before anything is drawn.  So is a
+    slot-by-slot random-access run (more than 12 users) whose one run
+    draws more than ``core.MAX_ENTRIES`` slots (K times ``horizon``
+    periods), or whose runs draw more than ``core.DEFAULT_BUDGET`` in
+    total.
     """
     K = sset.size
     validate_gamma(cfg.gamma, K)
@@ -204,6 +209,19 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
             f"{cfg.runs} runs need arrays of {entries} entries, "
             f"the limit is {MAX_ENTRIES}"
         )
+    if cfg.scheme == "random_access" and not joint:
+        # one run's draws are one array, and the slot axis is never split
+        # (that would reorder the seeded stream)
+        per_run = K * cfg.horizon * L
+        if per_run > core.MAX_ENTRIES:
+            raise BudgetExceededError(
+                f"one run draws {per_run} slots, the limit is {core.MAX_ENTRIES}"
+            )
+        if cfg.runs * per_run > core.DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"{cfg.runs} runs draw {cfg.runs * per_run} slots, "
+                f"the budget is {core.DEFAULT_BUDGET}"
+            )
     if cfg.scheme == "protocol_sequences":
         counts = _protocol_counts(sset, cfg)
         denom = L

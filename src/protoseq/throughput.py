@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import MAX_ENTRIES, BudgetExceededError, validate_gamma
-from .analysis import DEFAULT_BUDGET, _ti_sweep
+from .analysis import DEFAULT_BUDGET, _field_sum, _lane_width, _ti_sweep
 from .construction import as_duty_factors, construct_si
 
 __all__ = [
@@ -118,13 +118,15 @@ def consistency_check(
     """
     duty = as_duty_factors(duty)
     sset = construct_si(duty)
+    L = sset.period
+    width = _lane_width(L)
     totals = [0] * sset.size
     classes = 0
     for _, columns in _ti_sweep(sset, gamma, budget):
-        classes += sset.period
+        classes += L
         for i, column in enumerate(columns):
-            totals[i] += sum(column)
-    average = tuple(Fraction(t, classes * sset.period) for t in totals)
+            totals[i] += _field_sum(column, width)
+    average = tuple(Fraction(t, classes * L) for t in totals)
     return average == ti_throughput(duty, gamma).per_user
 
 

@@ -13,6 +13,10 @@ from protoseq import (
 )
 
 
+#: The smallest known pairwise-SI triple that is not SI (period 12).
+PAIRWISE_SI_NOT_SI = ("101010101010", "100100100100", "111001110000")
+
+
 def random_sequence(rng: random.Random, period: int) -> BinarySequence:
     return BinarySequence(tuple(rng.randint(0, 1) for _ in range(period)))
 
@@ -102,3 +106,16 @@ def first_difference_si(sset, sizes, prop, correlation_at):
                     witness = Witness(users, (0,) * m, (0,) + rest, base, h)
                     return PropertyVerdict(prop, False, witness, checked)
     return PropertyVerdict(prop, True, None, checked)
+
+
+def unpack_column(packed, period):
+    """Counts by the last member's shift from a packed sweep column.
+
+    Fields are whole bytes, wide enough for a count of ``period``; the
+    count at shift t sits in field period - 1 - t, and no bit lies above
+    the top field.
+    """
+    width = 8 * ((period.bit_length() + 7) // 8)
+    assert packed >> (width * period) == 0
+    field = (1 << width) - 1
+    return [(packed >> (width * (period - 1 - t))) & field for t in range(period)]

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from protoseq import (
+    SequenceSet,
     SimConfig,
     as_duty_factors,
     check_lemma_delta,
@@ -34,7 +35,7 @@ from protoseq import (
 )
 from protoseq.core import full_mask, rotate_mask
 
-from helpers import random_set
+from helpers import PAIRWISE_SI_NOT_SI, random_set
 
 BIG_BUDGET = 10**10
 
@@ -205,16 +206,20 @@ def test_criterion_06_delta_identity_on_fixtures():
             nontrivial += delta_record(trial, (1, 2), a, b).deltas[2] != 0
         assert nontrivial >= 30
 
-        # seeded search over short triples; any hit is exercised in full
+        # seeded search over short triples; the frozen period-12 triple
+        # and any hit are exercised in full
         result = find_pairwise_si_not_si(10**6, seed=20260808, max_period=12)
         assert result.candidates_tried == 10**6
         print(
             f"  search: {result.pairwise_si_found} pairwise-SI triples, "
-            f"{len(result.hits)} not SI (absence is reported, not proof)"
+            f"{len(result.hits)} not SI (absence is reported, not proof; "
+            f"the smallest known period is 12)"
         )
-        for hit in result.hits:
+        frozen = SequenceSet.from_strings(PAIRWISE_SI_NOT_SI)
+        for hit in (frozen, *result.hits):
             assert is_pairwise_si(hit).holds
-            assert not is_si(hit).holds
+            si = is_si(hit)
+            assert not si.holds and verify_witness(hit, si)
             L = hit.period
             seen_nonzero = False
             for _ in range(50):

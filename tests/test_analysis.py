@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 from functools import partial
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
 from protoseq import analysis
 from protoseq import (
     DEFAULT_BUDGET,
+    BinarySequence,
     BudgetExceededError,
     PreconditionError,
     PropertyVerdict,
@@ -18,6 +20,7 @@ from protoseq import (
     allone_constraint,
     check_lemma_delta,
     check_lemma_theta,
+    consistency_check,
     construct_si,
     count_config,
     delta_record,
@@ -30,16 +33,19 @@ from protoseq import (
     structural_hypotheses,
     theta_profile,
     throughput_at,
+    ti_throughput,
     verify_witness,
 )
 from protoseq import reference
 from protoseq.core import rotate_mask
 
 from helpers import (
+    PAIRWISE_SI_NOT_SI,
     config_constancy_si_oracle,
     first_difference_si,
     first_difference_ti,
     random_set,
+    unpack_column,
 )
 
 
@@ -205,6 +211,7 @@ def test_ti_sweep_matches_direct_counts_and_first_difference_scan():
             assert [outer for outer, _ in blocks] == outers
             for outer, columns in blocks:
                 assert len(columns) == K
+                columns = [unpack_column(c, L) for c in columns]
                 for t in range(L):
                     counts = counts_at((0, *outer, t))
                     assert tuple(column[t] for column in columns) == counts
@@ -212,6 +219,70 @@ def test_ti_sweep_matches_direct_counts_and_first_difference_scan():
             assert is_ti(trial, gamma) == expected
             if expected.holds:
                 assert expected.configurations_checked == L ** (K - 1)
+
+
+@pytest.mark.parametrize("L", [255, 256])
+def test_lane_columns_at_the_field_width_boundary(L):
+    # 255 is the largest count a byte holds; at 256 fields widen to 16 bits
+    lanes = analysis._lanes(L)
+    assert lanes.width == (8 if L < 256 else 16)
+    rng = random.Random(L)
+    full = (1 << L) - 1
+    masks = (0, full, rng.getrandbits(L), rng.getrandbits(L))
+    for a in masks:
+        for b in masks:
+            column = lanes.column(lanes.spread(a), lanes.spread_reversed(b))
+            expected = [(a & rotate_mask(b, t, L)).bit_count() for t in range(L)]
+            assert unpack_column(column, L) == expected
+            assert analysis._field_sum(column, lanes.width) == sum(expected)
+    # all-ones beside all-zero: every success count is L or 0
+    for a, b in [(full, 0), (0, full), (full, full), (masks[2], full), (masks[3], 0)]:
+        trial = SequenceSet(
+            (BinarySequence.from_mask(a, L), BinarySequence.from_mask(b, L))
+        )
+        counts_at = _direct_counts(trial, 1)
+        [(outer, columns)] = analysis._ti_sweep(trial, 1, DEFAULT_BUDGET)
+        assert outer == ()
+        columns = [unpack_column(c, L) for c in columns]
+        assert [counts_at((0, t)) for t in range(L)] == list(zip(*columns))
+        assert is_ti(trial, 1) == first_difference_ti(trial, 1, counts_at)
+        correlation_at = partial(hamming_cross_correlation, trial)
+        expected = first_difference_si(trial, [1, 2], "SI", correlation_at)
+        assert is_si(trial) == expected
+
+
+def test_verdicts_with_16_bit_fields_match_brute_force_scans():
+    duty = ("9/10", "1/30")  # L = 300, and user 1 succeeds in over 255 slots
+    built = construct_si(duty)
+    broken = random_set(random.Random(300), 2, 300)
+    for trial in (built, broken):
+        L = trial.period
+        assert L == 300 and analysis._lanes(L).width == 16
+        counts_at = _direct_counts(trial, 1)
+        assert is_ti(trial, 1) == first_difference_ti(trial, 1, counts_at)
+        correlation_at = partial(hamming_cross_correlation, trial)
+        expected = first_difference_si(trial, [1, 2], "SI", correlation_at)
+        assert is_si(trial) == expected
+    assert is_ti(built, 1).holds and not is_ti(broken, 1).holds
+    # consistency_check sums 16-bit fields whose high bytes are set
+    counts_at = _direct_counts(built, 1)
+    totals = [sum(c) for c in zip(*(counts_at((0, t)) for t in range(300)))]
+    assert max(max(counts_at((0, t))) for t in range(300)) > 255
+    closed = ti_throughput(duty, 1).per_user
+    assert tuple(Fraction(t, 300 * 300) for t in totals) == closed
+    assert consistency_check(duty, 1)
+
+
+def test_frozen_pairwise_si_triple_is_not_si():
+    triple = sset(*PAIRWISE_SI_NOT_SI)
+    pairwise = is_pairwise_si(triple)
+    assert pairwise.holds and pairwise.configurations_checked == 36
+    verdict = is_si(triple)
+    witness = Witness((1, 2, 3), (0, 0, 0), (0, 0, 2), 2, 1)
+    assert verdict == PropertyVerdict("SI", False, witness, 42)
+    assert verify_witness(triple, verdict)
+    correlation_at = partial(reference.hamming_cross_correlation, triple)
+    assert verdict == first_difference_si(triple, range(1, 4), "SI", correlation_at)
 
 
 def test_si_sweeps_match_first_difference_scan():
@@ -522,6 +593,28 @@ def test_search_is_deterministic_and_reports_counts():
     assert a.candidates_tried == 3000
     assert a.pairwise_si_found == 194
     assert a.hits == ()
+
+
+def test_search_reports_the_frozen_triple_as_a_hit(monkeypatch):
+    m1, m2, m3 = (BinarySequence.from_string(r).mask for r in PAIRWISE_SI_NOT_SI)
+
+    class Draws:
+        """Stands in for the search's generator: period 12, fixed masks."""
+
+        def __init__(self, seed):
+            # the frozen triple, then a pairwise-SI triple with an empty member
+            self.masks = iter((m1, m2, m3, m1, m2, 0))
+
+        def randint(self, low, high):
+            return 12
+
+        def getrandbits(self, bits):
+            return next(self.masks)
+
+    monkeypatch.setattr(analysis, "random", SimpleNamespace(Random=Draws))
+    result = find_pairwise_si_not_si(2, seed=0)
+    assert result.pairwise_si_found == 2
+    assert result.hits == (sset(*PAIRWISE_SI_NOT_SI),)
 
 
 def test_search_hits_have_the_claimed_shape():

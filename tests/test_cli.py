@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from protoseq import analysis, cli, parse_sequence_set
+from protoseq import (
+    analysis,
+    cli,
+    construct_si,
+    format_sequence_set,
+    parse_sequence_set,
+)
 
 WORKED_ROWS = (
     "110110110110110110110110110",
@@ -269,6 +275,20 @@ def test_construct_over_budget_exits_three(capsys):
 )
 def test_oversized_runs_and_periods_exit_three(capsys, worked_file, argv):
     code, out, err = run_cli(capsys, *argv, "--gamma", "1", "--seed", "0", worked_file)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "limit" in err
+
+
+def test_random_access_fallback_over_the_slot_cap_exits_three(capsys, tmp_path):
+    # 14 users take the slot-by-slot sampler; 10000 periods of 2^14 slots
+    # would be one 14 x 1.6e8 array
+    path = tmp_path / "k14.psq"
+    path.write_text(format_sequence_set(construct_si(["1/2"] * 14)))
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", "random", "--horizon", "10000",
+        "--gamma", "1", "--runs", "1", "--seed", "0", str(path),
+    )
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "limit" in err

@@ -1,4 +1,5 @@
-"""Property-based checks of the block shift sweeps against ``protoseq.reference``.
+"""Property-based checks of the counting primitives and the block shift
+sweeps against ``protoseq.reference``.
 
 The examples are drawn from a fixed derandomized stream, so every run
 checks the same sets.
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from protoseq import BinarySequence, SequenceSet, is_pairwise_si, is_si, is_ti
 from protoseq import reference
+from protoseq.core import at_most_mask, count_planes, exact_count_mask, rotation_table
 
 from helpers import first_difference_si, first_difference_ti
 
@@ -40,3 +42,44 @@ def test_block_sweep_verdicts_match_reference_scans(trial):
     assert is_si(trial) == expected
     expected = first_difference_si(trial, [2], "PAIRWISE_SI", correlation_at)
     assert is_pairwise_si(trial) == expected
+
+
+@st.composite
+def mask_lists(draw):
+    L = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(0, (1 << L) - 1), min_size=1, max_size=6))
+    return SequenceSet(tuple(BinarySequence.from_mask(m, L) for m in masks))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mask_lists())
+def test_counter_planes_match_reference_histograms(trial):
+    K, L = trial.size, trial.period
+    planes = count_planes(trial.masks)
+    fires = [sum(seq.bits[t] for seq in trial.sequences) for t in range(L)]
+    # plane k holds bit k of every slot's transmitter count
+    for t in range(L):
+        assert sum(((p >> t) & 1) << k for k, p in enumerate(planes)) == fires[t]
+    histogram = reference.theta_counts(trial, range(1, K + 1), (0,) * K)
+    for j in range(-1, K + 2):
+        exact = exact_count_mask(planes, j, L)
+        at_most = at_most_mask(planes, j, L)
+        assert [(exact >> t) & 1 for t in range(L)] == [n == j for n in fires]
+        assert [(at_most >> t) & 1 for t in range(L)] == [n <= j for n in fires]
+        assert exact.bit_count() == (histogram[j] if 0 <= j <= K else 0)
+        assert at_most.bit_count() == sum(histogram[: max(j + 1, 0)])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mask_lists())
+def test_rotation_table_matches_reference_shifts(trial):
+    L = trial.period
+    seq = trial.sequences[0]
+    table = rotation_table(seq.mask, L)
+    assert len(table) == L
+    for t, rotated in enumerate(table):
+        pair = SequenceSet((seq, BinarySequence.from_mask(rotated, L)))
+        # the schedule under shift t agrees with entry t in every slot
+        agree = (reference.count_config(pair, (t, 0), (1, 1))
+                 + reference.count_config(pair, (t, 0), (0, 0)))
+        assert agree == L

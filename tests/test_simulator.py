@@ -14,7 +14,7 @@ from protoseq import (
     run_session,
     symmetric_throughput,
 )
-from protoseq import reference, simulator
+from protoseq import core, reference, simulator
 from protoseq.analysis import success_counts
 from protoseq.core import rotate_mask
 
@@ -125,6 +125,29 @@ def test_monte_carlo_refuses_oversized_run_arrays(monkeypatch, scheme, users,
     run_monte_carlo(sset, SimConfig(gamma=1, runs=2, seed=0, scheme=scheme))
     with pytest.raises(BudgetExceededError):
         run_monte_carlo(sset, SimConfig(gamma=1, runs=3, seed=0, scheme=scheme))
+
+
+def test_random_access_fallback_refuses_oversized_slot_draws(monkeypatch):
+    sset = construct_si(["1/2"] * 14)  # slot-by-slot sampler, L = 2^14
+    per_period = 14 * sset.period
+
+    def run(runs, horizon):
+        cfg = SimConfig(gamma=1, runs=runs, seed=0, horizon=horizon,
+                        scheme="random_access")
+        return run_monte_carlo(sset, cfg)
+
+    # one run's K * horizon * L draws against core.MAX_ENTRIES
+    monkeypatch.setattr(core, "MAX_ENTRIES", 2 * per_period)
+    run(1, 2)
+    with pytest.raises(BudgetExceededError, match="one run draws"):
+        run(1, 3)
+    # all runs' draws against core.DEFAULT_BUDGET
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 3 * per_period)
+    run(3, 1)
+    with pytest.raises(BudgetExceededError, match="runs draw"):
+        run(4, 1)
+    with pytest.raises(BudgetExceededError, match="runs draw"):
+        run(2, 2)
 
 
 def test_monte_carlo_refuses_huge_run_counts_up_front(example_set):
