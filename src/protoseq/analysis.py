@@ -502,22 +502,53 @@ def verify_witness(sset: SequenceSet, verdict: PropertyVerdict) -> bool:
     """Re-evaluate a negative verdict's witness from scratch.
 
     Returns True when both recorded values reproduce exactly and differ,
-    i.e. the counterexample is genuine.
+    i.e. the counterexample is genuine; False when there is no witness,
+    or a TI verdict carries no capability.  The witness is validated once
+    and only the two compared values are recomputed: for SI and pairwise
+    SI the tuple's correlation (the AND of its rotated masks) at each
+    shift vector, for TI the named user's success count among all K
+    rotated masks, as a fraction of the period.
+
+    Raises ``ValueError`` on an unknown property, on shift vectors of the
+    wrong length, on a TI capability outside 1 <= gamma < K, and on users
+    that are not a strictly increasing tuple in 1..K; a TI witness must
+    name exactly one user.
     """
     w = verdict.witness
     if w is None:
         return False
+    K = sset.size
+    L = sset.period
+    masks = sset.masks
     if verdict.prop in ("SI", "PAIRWISE_SI"):
-        va = hamming_cross_correlation(sset, w.users, w.shifts_a)
-        vb = hamming_cross_correlation(sset, w.users, w.shifts_b)
+        users = validate_users(w.users, K)
+        members = [masks[u - 1] for u in users]
+
+        def value(shifts: ShiftsLike) -> int:
+            acc = -1  # every bit set, so the first AND keeps the first mask
+            for mask, tau in zip(members, as_shifts(shifts, L, len(users))):
+                acc &= rotate_mask(mask, tau, L)
+            return acc.bit_count()
+
     elif verdict.prop == "TI":
-        if verdict.gamma is None:
+        gamma = verdict.gamma
+        if gamma is None:
             return False
-        i = w.users[0] - 1
-        va = throughput_at(sset, w.shifts_a, verdict.gamma)[i]
-        vb = throughput_at(sset, w.shifts_b, verdict.gamma)[i]
+        validate_gamma(gamma, K)
+        users = validate_users(w.users, K)
+        if len(users) != 1:
+            raise ValueError(f"a TI witness names exactly one user: {users}")
+        i = users[0] - 1
+
+        def value(shifts: ShiftsLike) -> Fraction:
+            taus = as_shifts(shifts, L, K)
+            rotated = [rotate_mask(mask, tau, L) for mask, tau in zip(masks, taus)]
+            return Fraction(success_counts(rotated, gamma, L)[i], L)
+
     else:
         raise ValueError(f"unknown property {verdict.prop!r}")
+    va = value(w.shifts_a)
+    vb = value(w.shifts_b)
     return va == w.value_a and vb == w.value_b and va != vb
 
 
@@ -762,11 +793,8 @@ def structural_conclusion(
 
 
 def _pair_correlation_constant(m1: int, m2: int, period: int) -> bool:
+    """True iff |m1 & rot(m2, tau)| is the same at every shift tau."""
     base = (m1 & m2).bit_count()
-    # the correlations over all shifts sum to |m1|*|m2|, so a constant one
-    # must equal that sum over the period
-    if period * base != m1.bit_count() * m2.bit_count():
-        return False
     r = m2
     low = 1
     top = period - 1
@@ -790,20 +818,53 @@ def find_pairwise_si_not_si(
     12 (101010101010, 100100100100, 111001110000).  A run with zero hits
     is reported as exactly that and proves nothing.  A hit exercises the
     histogram delta identity with a non-zero top bucket.
+
+    Each candidate takes its draws from ``random.Random(seed).getrandbits``
+    in a fixed order: the period, then the masks m1, m2 and m3 of L bits
+    each.  The period is min_period + r for the first draw r of
+    n.bit_length() bits below n = max_period - min_period + 1, so a seed
+    gives the triples that ``randint`` and three ``getrandbits`` calls
+    would give, without depending on how ``randint`` is implemented.
+
+    Raises ``ValueError`` when ``candidates`` is negative or the period
+    range is empty or starts below 1.
     """
-    rng = random.Random(seed)
+    if candidates < 0:
+        raise ValueError(f"candidates must be non-negative, got {candidates}")
+    if not 1 <= min_period <= max_period:
+        raise ValueError(
+            f"periods must satisfy 1 <= min_period <= max_period, "
+            f"got {min_period}..{max_period}"
+        )
+    getrandbits = random.Random(seed).getrandbits
+    n = max_period - min_period + 1
+    k = n.bit_length()
     hits: list[SequenceSet] = []
     pairwise_found = 0
     for _ in range(candidates):
-        L = rng.randint(min_period, max_period)
-        m1 = rng.getrandbits(L)
-        m2 = rng.getrandbits(L)
-        m3 = rng.getrandbits(L)
-        if not _pair_correlation_constant(m1, m2, L):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        L = min_period + r
+        m1 = getrandbits(L)
+        m2 = getrandbits(L)
+        m3 = getrandbits(L)
+        # the correlations of a pair over all shifts sum to the product of
+        # its weights, so a constant one times the period equals that product
+        w1 = m1.bit_count()
+        w2 = m2.bit_count()
+        w3 = m3.bit_count()
+        if (
+            L * (m1 & m2).bit_count() != w1 * w2
+            or L * (m1 & m3).bit_count() != w1 * w3
+            or L * (m2 & m3).bit_count() != w2 * w3
+        ):
             continue
-        if not _pair_correlation_constant(m1, m3, L):
-            continue
-        if not _pair_correlation_constant(m2, m3, L):
+        if not (
+            _pair_correlation_constant(m1, m2, L)
+            and _pair_correlation_constant(m1, m3, L)
+            and _pair_correlation_constant(m2, m3, L)
+        ):
             continue
         pairwise_found += 1
         if not (m1 and m2 and m3):

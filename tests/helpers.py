@@ -7,10 +7,12 @@ from fractions import Fraction
 from protoseq import (
     BinarySequence,
     PropertyVerdict,
+    SearchResult,
     SequenceSet,
     Witness,
     count_config,
 )
+from protoseq.core import rotation_table
 
 
 #: The smallest known pairwise-SI triple that is not SI (period 12).
@@ -119,3 +121,38 @@ def unpack_column(packed, period):
     assert packed >> (width * period) == 0
     field = (1 << width) - 1
     return [(packed >> (width * (period - 1 - t))) & field for t in range(period)]
+
+
+def _pair_constant(m1, m2, period):
+    """A pair's correlation is the same at every shift of the second mask."""
+    return len({(m1 & r).bit_count() for r in rotation_table(m2, period)}) == 1
+
+
+def search_oracle(candidates, seed, min_period=2, max_period=12):
+    """``find_pairwise_si_not_si`` as a plain loop over ``random.randint``.
+
+    Draws the period with ``randint``, then the three masks, and judges
+    each pair and the triple by correlations at every shift; so it pins
+    both the search's random stream and its verdicts.
+    """
+    rng = random.Random(seed)
+    hits = []
+    found = 0
+    for _ in range(candidates):
+        L = rng.randint(min_period, max_period)
+        masks = (rng.getrandbits(L), rng.getrandbits(L), rng.getrandbits(L))
+        m1, m2, m3 = masks
+        pairs = ((m1, m2), (m1, m3), (m2, m3))
+        if not all(_pair_constant(a, b, L) for a, b in pairs):
+            continue
+        found += 1
+        values = {
+            (m1 & r2 & r3).bit_count()
+            for r2 in rotation_table(m2, L)
+            for r3 in rotation_table(m3, L)
+        }
+        if len(values) > 1:
+            hits.append(
+                SequenceSet(tuple(BinarySequence.from_mask(m, L) for m in masks))
+            )
+    return SearchResult(tuple(hits), candidates, found, seed)

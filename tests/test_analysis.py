@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -45,6 +46,7 @@ from helpers import (
     first_difference_si,
     first_difference_ti,
     random_set,
+    search_oracle,
     unpack_column,
 )
 
@@ -155,6 +157,16 @@ def test_is_ti_rejects_aligned_pair():
     w = verdict.witness
     assert {w.value_a, w.value_b} == {Fraction(0), Fraction(1, 2)}
     assert verify_witness(ALIGNED_PAIR, verdict)
+
+
+@pytest.mark.parametrize("users", [(0,), (3,), (1, 2)])
+def test_verify_witness_rejects_malformed_ti_users(users):
+    # user 0 would read user K, user K + 1 lies past the set, and a TI
+    # witness names exactly one user
+    verdict = is_ti(ALIGNED_PAIR, 1)
+    witness = dataclasses.replace(verdict.witness, users=users)
+    with pytest.raises(ValueError):
+        verify_witness(ALIGNED_PAIR, dataclasses.replace(verdict, witness=witness))
 
 
 def test_is_ti_with_silent_user_skips_pairwise_cross_check():
@@ -602,19 +614,40 @@ def test_search_reports_the_frozen_triple_as_a_hit(monkeypatch):
         """Stands in for the search's generator: period 12, fixed masks."""
 
         def __init__(self, seed):
-            # the frozen triple, then a pairwise-SI triple with an empty member
-            self.masks = iter((m1, m2, m3, m1, m2, 0))
-
-        def randint(self, low, high):
-            return 12
+            # (bits asked for, value) in draw order: the period offset
+            # 12 - 2 from 4 bits (11 periods in 2..12), then three masks;
+            # first the frozen triple, then a pairwise-SI triple with an
+            # empty member
+            self.draws = iter([
+                (4, 10), (12, m1), (12, m2), (12, m3),
+                (4, 10), (12, m1), (12, m2), (12, 0),
+            ])
 
         def getrandbits(self, bits):
-            return next(self.masks)
+            expected, value = next(self.draws)
+            assert bits == expected
+            return value
 
     monkeypatch.setattr(analysis, "random", SimpleNamespace(Random=Draws))
     result = find_pairwise_si_not_si(2, seed=0)
     assert result.pairwise_si_found == 2
     assert result.hits == (sset(*PAIRWISE_SI_NOT_SI),)
+
+
+@pytest.mark.parametrize("periods", [(1, 1), (2, 12), (5, 5), (30, 40)])
+def test_search_draws_the_randint_stream(periods):
+    for seed in range(20):
+        result = find_pairwise_si_not_si(1000, seed, *periods)
+        assert result == search_oracle(1000, seed, *periods)
+
+
+@pytest.mark.parametrize(
+    "candidates, periods",
+    [(-3, (2, 12)), (10, (0, 0)), (10, (0, 3)), (10, (5, 4))],
+)
+def test_search_rejects_bad_arguments(candidates, periods):
+    with pytest.raises(ValueError):
+        find_pairwise_si_not_si(candidates, 0, *periods)
 
 
 def test_search_hits_have_the_claimed_shape():

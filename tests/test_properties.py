@@ -1,15 +1,26 @@
-"""Property-based checks of the counting primitives and the block shift
-sweeps against ``protoseq.reference``.
+"""Property-based checks of the counting primitives, the block shift
+sweeps, witness re-checks and the text format against ``protoseq.reference``.
 
-The examples are drawn from a fixed derandomized stream, so every run
-checks the same sets.
+The examples are drawn from a fixed derandomized stream (the profile
+loaded in ``conftest.py``), so every run checks the same sets.
 """
 
+import dataclasses
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from protoseq import BinarySequence, SequenceSet, is_pairwise_si, is_si, is_ti
+from protoseq import (
+    BinarySequence,
+    SequenceSet,
+    format_sequence_set,
+    is_pairwise_si,
+    is_si,
+    is_ti,
+    parse_sequence_set,
+    theta_profile,
+    verify_witness,
+)
 from protoseq import reference
 from protoseq.core import at_most_mask, count_planes, exact_count_mask, rotation_table
 
@@ -24,7 +35,6 @@ def sequence_sets(draw):
     return SequenceSet(tuple(BinarySequence.from_mask(m, L) for m in masks))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
 @given(sequence_sets())
 def test_block_sweep_verdicts_match_reference_scans(trial):
     K, L = trial.size, trial.period
@@ -51,7 +61,6 @@ def mask_lists(draw):
     return SequenceSet(tuple(BinarySequence.from_mask(m, L) for m in masks))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
 @given(mask_lists())
 def test_counter_planes_match_reference_histograms(trial):
     K, L = trial.size, trial.period
@@ -70,7 +79,6 @@ def test_counter_planes_match_reference_histograms(trial):
         assert at_most.bit_count() == sum(histogram[: max(j + 1, 0)])
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
 @given(mask_lists())
 def test_rotation_table_matches_reference_shifts(trial):
     L = trial.period
@@ -83,3 +91,54 @@ def test_rotation_table_matches_reference_shifts(trial):
         agree = (reference.count_config(pair, (t, 0), (1, 1))
                  + reference.count_config(pair, (t, 0), (0, 0)))
         assert agree == L
+
+
+@given(sequence_sets())
+def test_witnesses_recheck_and_tampered_copies_fail(trial):
+    K, L = trial.size, trial.period
+    verdicts = [is_ti(trial, gamma) for gamma in range(1, K)]
+    verdicts += [is_si(trial), is_pairwise_si(trial)]
+    for verdict in verdicts:
+        if verdict.holds:
+            continue
+        w = verdict.witness
+        assert verify_witness(trial, verdict)
+        pair = (w.shifts_a, w.shifts_b)
+        if verdict.prop == "TI":
+            i = w.users[0] - 1
+            values = [reference.throughput_at(trial, s, verdict.gamma)[i] for s in pair]
+            count = Fraction(1, L)
+        else:
+            values = [reference.hamming_cross_correlation(trial, w.users, s)
+                      for s in pair]
+            count = 1
+        assert values == [w.value_a, w.value_b]
+        for tampered in (
+            dataclasses.replace(w, value_b=w.value_b + count),
+            dataclasses.replace(w, shifts_b=w.shifts_a),
+        ):
+            forged = dataclasses.replace(verdict, witness=tampered)
+            assert not verify_witness(trial, forged)
+
+
+@st.composite
+def tuples_at_shifts(draw):
+    trial = draw(mask_lists())
+    L = trial.period
+    users = draw(st.lists(st.integers(1, trial.size), min_size=1, unique=True))
+    users = tuple(sorted(users))
+    shifts = draw(st.lists(st.integers(-L, 2 * L), min_size=len(users),
+                           max_size=len(users)))
+    return trial, users, tuple(shifts)
+
+
+@given(tuples_at_shifts())
+def test_theta_profile_matches_reference_histogram(case):
+    trial, users, shifts = case
+    profile = theta_profile(trial, users, shifts)
+    assert profile.counts == reference.theta_counts(trial, users, shifts)
+
+
+@given(mask_lists())
+def test_format_then_parse_returns_the_set(trial):
+    assert parse_sequence_set(format_sequence_set(trial)) == trial
