@@ -68,6 +68,8 @@ RNG_NAME = "philox4x64"
 # many users; beyond it the sampler falls back to slot-by-slot draws
 _PATTERN_USER_LIMIT = 12
 _SLOT_BATCH = 1 << 22
+# packed 64-bit words of protocol rows held per batch of runs
+_WORD_BATCH = 1 << 16
 
 
 class SessionConfigError(ProtoseqError):
@@ -139,17 +141,56 @@ def _stats_from_counts(counts: np.ndarray, denom: int) -> tuple[UserStats, ...]:
 
 
 def _protocol_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
-    L = sset.period
-    rng = _generator(cfg.seed)
-    shifts = rng.integers(0, L, size=(cfg.runs, sset.size))
-    # rotate each user's mask only to the shifts drawn for it
-    columns = []
-    for i, m in enumerate(sset.masks):
-        drawn, which = np.unique(shifts[:, i], return_inverse=True)
-        rotated = [rotate_mask(m, tau, L) for tau in drawn.tolist()]
-        columns.append([rotated[j] for j in which.tolist()])
-    counts = [success_counts(masks, cfg.gamma, L) for masks in zip(*columns)]
-    return np.array(counts, dtype=np.int64)
+    """Success counts of every run, shape (runs, K), counted on packed words.
+
+    Bit t of user i's row in a run is bit t + tau of its doubled mask
+    ``m | m << L``, which is ``rotate_mask(m, tau, L)``.  A row is cut
+    from the doubled mask's little-endian 64-bit words by a funnel shift,
+    and the rows of a batch of runs are summed in bit-sliced planes
+    (the ripple of ``core.count_planes``) and compared with gamma (as in
+    ``core.at_most_mask``), all elementwise on numpy arrays.
+    """
+    K, L, gamma = sset.size, sset.period, cfg.gamma
+    shifts = _generator(cfg.seed).integers(0, L, size=(cfg.runs, K))
+    words = (L + 63) >> 6
+    # a row at shift tau reads words tau >> 6 .. (tau >> 6) + words
+    span = ((L - 1) >> 6) + words + 1
+    doubled = np.frombuffer(
+        b"".join((m | m << L).to_bytes(8 * span, "little") for m in sset.masks),
+        dtype="<u8",
+    )
+    tail = np.uint64((1 << (L - 64 * (words - 1))) - 1)
+    # arrays are laid out (user, word, run), so every elementwise pass runs
+    # along the runs of a batch
+    base = (np.arange(K) * span)[:, None]
+    offsets = np.arange(words + 1)[:, None]
+    counts = np.empty((cfg.runs, K), dtype=np.int64)
+    batch = max(1, _WORD_BATCH // (K * words))
+    for start in range(0, cfg.runs, batch):
+        taus = shifts[start:start + batch].T
+        bits = (taus & 63).astype(np.uint64)[:, None]
+        g = doubled[(base + (taus >> 6))[:, None] + offsets]  # (K, words + 1, runs)
+        rows = (g[:, :-1] >> bits) | (g[:, 1:] << (np.uint64(64) - bits))
+        rows[:, -1] &= tail
+        planes: list[np.ndarray] = []
+        for n in range(1, K + 1):
+            carry = rows[n - 1]
+            for k, p in enumerate(planes):
+                planes[k], carry = p ^ carry, p & carry
+            if n.bit_length() > len(planes):
+                planes.append(carry)
+        # a count exceeds gamma at the first plane from the top where it
+        # has a one, gamma a zero, and no higher plane has fallen below
+        # gamma; gamma < K < 2 ** len(planes), so every plane takes part
+        greater = np.zeros_like(rows[0])
+        at_least = ~greater
+        for k in range(len(planes) - 1, -1, -1):
+            if (gamma >> k) & 1:
+                at_least &= planes[k]
+            else:
+                greater |= at_least & planes[k]
+        counts[start:start + batch] = np.bitwise_count(rows & ~greater).sum(axis=1).T
+    return counts
 
 
 def _random_access_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
@@ -190,7 +231,13 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
     Protocol-sequence runs draw shifts and are measured over one period
     (the schedule makes longer horizons identical slot for slot); the
     random-access baseline is measured over ``horizon`` periods' worth
-    of slots.  Results are deterministic for a fixed seed.  Runs whose
+    of slots.  Protocol runs are counted together on packed 64-bit words:
+    each user's shifted schedule is cut from its doubled mask, and a
+    batch of runs (a fixed number of words, so memory does not grow with
+    runs times L) is summed in bit-sliced counter planes in one numpy
+    pass.  The counts equal ``success_counts`` at the drawn shifts; the
+    exhaustive verdicts and sessions stay on integer masks.  Results are
+    deterministic for a fixed seed.  Runs whose
     arrays would hold more than ``core.MAX_ENTRIES`` entries (runs times
     K, or runs times 2^K for the joint random-access sampler) are refused
     with ``BudgetExceededError`` before anything is drawn.  So is a

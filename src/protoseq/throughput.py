@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence
+from math import comb, prod
+from typing import Iterable
 
 import numpy as np
 
@@ -63,35 +63,31 @@ class CurveRow:
     system: Fraction
 
 
-def _others_distribution(duty: Sequence[Fraction], skip: int) -> list[Fraction]:
-    """Exact distribution of how many users other than ``skip`` transmit."""
-    coeffs = [Fraction(1)]
-    for k, f in enumerate(duty):
-        if k == skip:
-            continue
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        g = 1 - f
-        for j, c in enumerate(coeffs):
-            if g:
-                nxt[j] += c * g
-            if f:
-                nxt[j + 1] += c * f
-        coeffs = nxt
-    return coeffs
-
-
 def ti_throughput(duty: Iterable, gamma: int) -> ThroughputReport:
     """Exact per-user throughput forced on any TI set with these duty factors.
 
     R_i = f_i * sum over subsets H of the other users with |H| < gamma of
     prod(f_j, j in H) * prod(1 - f_k, k outside H and i).
+
+    With f_j = a_j / d_j, the sum times prod(d_j, j != i) is the sum of
+    the first gamma coefficients of prod((d_j - a_j) + a_j x, j != i), so
+    each user's value is one integer polynomial, truncated to gamma
+    terms, over the product of all denominators.
     """
     duty = as_duty_factors(duty)
     validate_gamma(gamma, len(duty))
+    denominator = prod(f.denominator for f in duty)
     per_user = []
     for i, f in enumerate(duty):
-        dist = _others_distribution(duty, i)
-        per_user.append(f * sum(dist[:gamma]))
+        coeffs = [1]
+        for j, other in enumerate(duty):
+            if j == i:
+                continue
+            a = other.numerator
+            b = other.denominator - a
+            shifted = zip(coeffs + [0], [0] + coeffs)
+            coeffs = [b * c + a * lower for c, lower in shifted][:gamma]
+        per_user.append(Fraction(f.numerator * sum(coeffs), denominator))
     return ThroughputReport(tuple(per_user), gamma)
 
 

@@ -10,8 +10,10 @@ from protoseq import (
     SearchResult,
     SequenceSet,
     Witness,
+    as_duty_factors,
     count_config,
 )
+from protoseq import simulator
 from protoseq.core import rotation_table
 
 
@@ -156,3 +158,50 @@ def search_oracle(candidates, seed, min_period=2, max_period=12):
                 SequenceSet(tuple(BinarySequence.from_mask(m, L) for m in masks))
             )
     return SearchResult(tuple(hits), candidates, found, seed)
+
+
+def subset_sum_oracle(duty, gamma):
+    """The closed form by direct subset enumeration: user i's throughput is
+    f_i times the sum, over subsets H of the other users with |H| < gamma,
+    of prod(f_j, j in H) * prod(1 - f_k, k outside H and i)."""
+    duty = as_duty_factors(duty)
+    K = len(duty)
+    out = []
+    for i in range(K):
+        others = [j for j in range(K) if j != i]
+        total = Fraction(0)
+        for r in range(gamma):
+            for chosen in itertools.combinations(others, r):
+                term = Fraction(1)
+                for j in chosen:
+                    term *= duty[j]
+                for k in others:
+                    if k not in chosen:
+                        term *= 1 - duty[k]
+                total += term
+        out.append(duty[i] * total)
+    return tuple(out)
+
+
+def random_access_slot_oracle(sset, cfg):
+    """Success counts of the slot-by-slot random-access sampler, recounted
+    one slot at a time.
+
+    Redraws the run's Philox stream as one array of uniforms (runs, K,
+    slots); a user fires in a slot when its uniform is below its duty
+    factor, and succeeds when at most gamma users fire there.
+    """
+    K = sset.size
+    slots = cfg.horizon * sset.period
+    duty = [float(f) for f in sset.duty_factors]
+    draws = simulator._generator(cfg.seed).random((cfg.runs, K, slots)).tolist()
+    counts = []
+    for run in draws:
+        good = [0] * K
+        for t in range(slots):
+            fires = [run[k][t] < duty[k] for k in range(K)]
+            if sum(fires) <= cfg.gamma:
+                for k in range(K):
+                    good[k] += fires[k]
+        counts.append(good)
+    return counts

@@ -1,5 +1,6 @@
 """Property-based checks of the counting primitives, the block shift
-sweeps, witness re-checks and the text format against ``protoseq.reference``.
+sweeps, witness re-checks, the protocol Monte-Carlo counts and the text
+format against ``protoseq.reference``.
 
 The examples are drawn from a fixed derandomized stream (the profile
 loaded in ``conftest.py``), so every run checks the same sets.
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 from protoseq import (
     BinarySequence,
     SequenceSet,
+    SimConfig,
     format_sequence_set,
     is_pairwise_si,
     is_si,
@@ -21,7 +23,7 @@ from protoseq import (
     theta_profile,
     verify_witness,
 )
-from protoseq import reference
+from protoseq import reference, simulator
 from protoseq.core import at_most_mask, count_planes, exact_count_mask, rotation_table
 
 from helpers import first_difference_si, first_difference_ti
@@ -137,6 +139,29 @@ def test_theta_profile_matches_reference_histogram(case):
     trial, users, shifts = case
     profile = theta_profile(trial, users, shifts)
     assert profile.counts == reference.theta_counts(trial, users, shifts)
+
+
+@st.composite
+def protocol_experiments(draw):
+    K = draw(st.integers(2, 5))
+    # short periods and periods around the 64-bit word edges
+    L = draw(st.one_of(st.integers(1, 12), st.integers(60, 140)))
+    masks = draw(st.lists(st.integers(0, (1 << L) - 1), min_size=K, max_size=K))
+    trial = SequenceSet(tuple(BinarySequence.from_mask(m, L) for m in masks))
+    cfg = SimConfig(gamma=draw(st.integers(1, K - 1)), runs=draw(st.integers(1, 6)),
+                    seed=draw(st.integers(0, 2**32)))
+    return trial, cfg
+
+
+@given(protocol_experiments())
+def test_protocol_counts_match_reference_throughput_at_drawn_shifts(case):
+    trial, cfg = case
+    L = trial.period
+    counts = simulator._protocol_counts(trial, cfg)
+    shifts = simulator._generator(cfg.seed).integers(0, L, size=(cfg.runs, trial.size))
+    for row, taus in zip(counts.tolist(), shifts.tolist()):
+        values = reference.throughput_at(trial, taus, cfg.gamma)
+        assert row == [v * L for v in values]
 
 
 @given(mask_lists())

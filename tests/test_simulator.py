@@ -18,7 +18,7 @@ from protoseq import core, reference, simulator
 from protoseq.analysis import success_counts
 from protoseq.core import rotate_mask
 
-from helpers import random_set
+from helpers import random_access_slot_oracle, random_set
 
 NOT_TI = SequenceSet.from_strings(["110", "101"])
 
@@ -90,24 +90,71 @@ def test_random_access_slot_fallback_agrees(monkeypatch):
         assert abs(float(stats.mean) - float(expected)) < 0.02
 
 
+def test_random_access_slot_fallback_matches_slot_by_slot_recount(monkeypatch):
+    rng = random.Random(29)
+    wide = random_set(rng, 13, 5)  # above the joint sampler's 12 users
+    cases = [(wide, 2, 3, 1), (wide, 6, 2, 2)]
+    # below it, the fallback is forced by lowering the user limit
+    for _ in range(6):
+        trial = random_set(rng, rng.randint(2, 5), rng.randint(1, 9))
+        cases.append((trial, rng.randint(1, trial.size - 1), rng.choice((1, 7)),
+                      rng.randint(1, 3)))
+    monkeypatch.setattr(simulator, "_PATTERN_USER_LIMIT", 0)
+    for trial, gamma, runs, horizon in cases:
+        cfg = SimConfig(gamma=gamma, runs=runs, seed=rng.randrange(99),
+                        horizon=horizon, scheme="random_access")
+        expected = random_access_slot_oracle(trial, cfg)
+        assert simulator._random_access_counts(trial, cfg).tolist() == expected
+        # runs split over several slot batches draw the same stream
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_SLOT_BATCH", 1)
+            assert simulator._random_access_counts(trial, cfg).tolist() == expected
+
+
+def _counts_at_drawn_shifts(sset, cfg):
+    """Per-run success counts by rotating the masks to the drawn shifts."""
+    L = sset.period
+    shifts = simulator._generator(cfg.seed).integers(0, L, size=(cfg.runs, sset.size))
+    return shifts, [
+        list(success_counts(
+            [rotate_mask(m, int(t), L) for m, t in zip(sset.masks, row)], cfg.gamma, L
+        ))
+        for row in shifts
+    ]
+
+
 def test_protocol_counts_match_success_counts_at_the_drawn_shifts():
     rng = random.Random(17)
-    for _ in range(30):
-        trial = random_set(rng, rng.randint(2, 5), rng.randint(1, 9))
-        K, L = trial.size, trial.period
+    # short periods, then word edges: one word, 63/64/65 bits, two words
+    # and a partial third
+    periods = [rng.randint(1, 9) for _ in range(30)] + [1, 63, 64, 65, 128, 129, 200]
+    for L in periods:
+        trial = random_set(rng, rng.randint(2, 5), L)
+        K = trial.size
         gamma = rng.randint(1, K - 1)
-        # 40 runs exceed every period here, so users redraw shifts
-        cfg = SimConfig(gamma=gamma, runs=rng.choice((1, 3, 40)), seed=rng.randrange(99))
-        shifts = simulator._generator(cfg.seed).integers(0, L, size=(cfg.runs, K))
-        expected = [
-            success_counts(
-                [rotate_mask(m, int(t), L) for m, t in zip(trial.masks, row)], gamma, L
-            )
-            for row in shifts
-        ]
+        # 40 runs exceed every short period, so users redraw shifts
+        runs = rng.choice((1, 3, 40)) if L < 10 else 300
+        cfg = SimConfig(gamma=gamma, runs=runs, seed=rng.randrange(99))
+        shifts, expected = _counts_at_drawn_shifts(trial, cfg)
+        # the long runs read rows at every word boundary of the doubled mask
+        assert L < 10 or set(range(0, L, 64)) <= set(shifts.flat)
         counts = simulator._protocol_counts(trial, cfg)
         assert counts.shape == (cfg.runs, K)
-        assert counts.tolist() == [list(c) for c in expected]
+        assert counts.tolist() == expected
+
+
+@pytest.mark.parametrize("batch_words", [1, 5, 13])
+def test_protocol_counts_do_not_depend_on_the_batch(monkeypatch, batch_words):
+    rng = random.Random(batch_words)
+    for L in (7, 64, 129, 200):
+        trial = random_set(rng, 4, L)
+        cfg = SimConfig(gamma=rng.randint(1, 3), runs=23, seed=rng.randrange(99))
+        whole = simulator._protocol_counts(trial, cfg)
+        # down to one run per batch when one run holds more words than that
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_WORD_BATCH", batch_words)
+            split = simulator._protocol_counts(trial, cfg)
+        assert split.tolist() == whole.tolist() == _counts_at_drawn_shifts(trial, cfg)[1]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +5,6 @@ import pytest
 
 from protoseq import (
     BudgetExceededError,
-    as_duty_factors,
     consistency_check,
     curve_csv,
     optimal_duty,
@@ -15,29 +13,9 @@ from protoseq import (
     ti_throughput,
 )
 
+from helpers import subset_sum_oracle
+
 WORKED = ("2/3", "1/3", "1/3")
-
-
-def subset_sum_oracle(duty, gamma):
-    """Direct subset enumeration of the closed form, kept independent of
-    the polynomial evaluation in the package."""
-    duty = as_duty_factors(duty)
-    K = len(duty)
-    out = []
-    for i in range(K):
-        others = [j for j in range(K) if j != i]
-        total = Fraction(0)
-        for r in range(gamma):
-            for chosen in itertools.combinations(others, r):
-                term = Fraction(1)
-                for j in chosen:
-                    term *= duty[j]
-                for k in others:
-                    if k not in chosen:
-                        term *= 1 - duty[k]
-                total += term
-        out.append(duty[i] * total)
-    return tuple(out)
 
 
 def test_worked_example_values():
@@ -69,11 +47,15 @@ def test_gamma_validation():
 
 def test_matches_subset_enumeration_oracle():
     rng = random.Random(61)
-    for _ in range(30):
-        k = rng.randint(2, 6)
-        duty = [Fraction(rng.randint(0, 4), 4) for _ in range(k)]
-        gamma = rng.randint(1, k - 1)
-        assert ti_throughput(duty, gamma).per_user == subset_sum_oracle(duty, gamma)
+    for _ in range(40):
+        k = rng.randint(2, 8)
+        # mixed denominators, with silent (0/1) and always-on (1/1) users
+        duty = [
+            rng.choice((Fraction(0), Fraction(1), Fraction(rng.randint(0, d), d)))
+            for d in (rng.randint(1, 12) for _ in range(k))
+        ]
+        for gamma in range(1, k):
+            assert ti_throughput(duty, gamma).per_user == subset_sum_oracle(duty, gamma)
 
 
 def test_symmetric_values():
