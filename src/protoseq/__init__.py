@@ -71,7 +71,6 @@ from .simulator import (
     ErasureCodeSpec,
     PeriodOutcome,
     SessionConfigError,
-    SessionPacket,
     SessionReport,
     SimConfig,
     SimResult,
@@ -79,5 +78,6 @@ from .simulator import (
     run_monte_carlo,
     run_session,
 )
+from .reference import SessionPacket
 
 __version__ = "0.1.0"

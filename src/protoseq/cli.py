@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import analysis, construction, simulator, throughput
 from .core import (
+    MAX_ENTRIES,
     BudgetExceededError,
     SequenceSet,
     format_sequence_set,
@@ -95,6 +96,10 @@ def _cmd_bound(args) -> int:
     duty = construction.parse_duty_spec(args.duty)
     k = len(duty)
     period = construction.min_period_bound(duty)
+    if args.full and (1 << k) - 1 > MAX_ENTRIES:
+        raise BudgetExceededError(
+            f"{k} users have {(1 << k) - 1} subsets, the limit is {MAX_ENTRIES}"
+        )
     subsets = []
     if k <= 20 or args.full:
         for m in range(1, k + 1):
@@ -364,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="period divisibility bounds for duty factors")
     p.add_argument("--duty", required=True)
-    p.add_argument("--full", action="store_true", help="enumerate all subsets even for large K")
+    p.add_argument("--full", action="store_true",
+                   help="enumerate all subsets even for large K (at most 10**7)")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="exhaustively verify an invariance property")

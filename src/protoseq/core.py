@@ -41,7 +41,6 @@ __all__ = [
     "theta_profile",
     "full_mask",
     "rotate_mask",
-    "rotation_table",
     "count_planes",
     "at_most_mask",
     "exact_count_mask",
@@ -54,8 +53,8 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 
 #: Most entries one request may allocate in an array or a list of records:
-#: duty-factor grid steps, Monte-Carlo runs times users (or times transmit
-#: patterns), and a session's users times periods.
+#: duty-factor grid steps, Monte-Carlo runs times users, a session's users
+#: times periods, and the subsets that ``bound --full`` lists.
 MAX_ENTRIES = 10**7
 
 
@@ -90,17 +89,6 @@ def rotate_mask(mask: int, tau: int, period: int) -> int:
     if tau == 0:
         return mask
     return ((mask >> tau) | (mask << (period - tau))) & full_mask(period)
-
-
-def rotation_table(mask: int, period: int) -> tuple[int, ...]:
-    """Every rotation of a mask: entry t is ``rotate_mask(mask, t, period)``.
-
-    Entry t is read as the period-long window at bit t of the mask
-    written twice in a row.
-    """
-    full = full_mask(period)
-    doubled = mask | (mask << period)
-    return tuple([(doubled >> t) & full for t in range(period)])
 
 
 def count_planes(masks: Iterable[int]) -> list[int]:

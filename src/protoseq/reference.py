@@ -3,17 +3,29 @@
 Everything here walks slot indices directly and keeps no bitmask state.
 It is intentionally slow and obvious; the test suite runs it against the
 bit-parallel layer in `protoseq.core` and against the session simulator
-on random instances.
+on random instances.  It imports nothing from the package but the shared
+types in `protoseq.core`, so it never leans on the code it checks; the
+packet header that its receive chain builds is defined here for that
+reason.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .core import SequenceSet, ShiftsLike, as_shifts, validate_users
-from .simulator import SessionPacket
+
+
+@dataclass(frozen=True)
+class SessionPacket:
+    """Header of one delivered packet, as the receiver reads it."""
+
+    user_id: int
+    period_parity: int
+    payload_index: int
 
 
 def count_config(sset: SequenceSet, shifts: ShiftsLike, pattern: Sequence[int]) -> int:

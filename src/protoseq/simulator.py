@@ -5,7 +5,10 @@ run draws one uniform shift per user and measures every user's exact
 per-period throughput; a throughput-invariant set shows zero spread
 across runs.  Under ``random_access`` each user instead transmits in
 every slot independently with probability equal to its duty factor,
-which is the natural memoryless baseline at the same load.
+which is the natural memoryless baseline at the same load.  A user then
+succeeds in each slot independently, with the probability that the
+closed form ``ti_throughput`` gives, so its count over a run is one
+binomial draw.
 
 The session simulator models the receive chain one level up: any slot
 with at most gamma transmitters delivers all its packets with readable
@@ -32,7 +35,6 @@ from math import ceil, log2
 
 import numpy as np
 
-from . import core
 from .core import (
     MAX_ENTRIES,
     BudgetExceededError,
@@ -52,7 +54,6 @@ __all__ = [
     "SimConfig",
     "UserStats",
     "SimResult",
-    "SessionPacket",
     "PeriodOutcome",
     "ErasureCodeSpec",
     "SessionReport",
@@ -64,10 +65,6 @@ __all__ = [
 #: published constants, so results are reproducible from the seed alone.
 RNG_NAME = "philox4x64"
 
-# exact joint sampling of per-slot transmit patterns is used up to this
-# many users; beyond it the sampler falls back to slot-by-slot draws
-_PATTERN_USER_LIMIT = 12
-_SLOT_BATCH = 1 << 22
 # packed 64-bit words of protocol rows held per batch of runs
 _WORD_BATCH = 1 << 16
 
@@ -194,35 +191,18 @@ def _protocol_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
 
 
 def _random_access_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
-    K = sset.size
-    L = sset.period
-    slots = cfg.horizon * L
-    rng = _generator(cfg.seed)
-    duty = np.array([float(f) for f in sset.duty_factors])
-    if K <= _PATTERN_USER_LIMIT:
-        # the per-slot transmit pattern is i.i.d. across slots, so the
-        # pattern counts of a run are one multinomial draw; this samples
-        # the exact joint distribution of all users' success counts
-        patterns = 1 << K
-        idx = np.arange(patterns)
-        member = ((idx[:, None] >> np.arange(K)) & 1).astype(bool)
-        weight = member.sum(axis=1)
-        pvals = np.prod(np.where(member, duty, 1.0 - duty), axis=1)
-        pvals = pvals / pvals.sum()
-        success = member & (weight <= cfg.gamma)[:, None]
-        draws = rng.multinomial(slots, pvals, size=cfg.runs)
-        return draws @ success.astype(np.int64)
-    counts = np.zeros((cfg.runs, K), dtype=np.int64)
-    batch_runs = max(1, _SLOT_BATCH // (K * slots))
-    start = 0
-    while start < cfg.runs:
-        stop = min(cfg.runs, start + batch_runs)
-        fires = rng.random((stop - start, K, slots)) < duty[None, :, None]
-        totals = fires.sum(axis=1)
-        ok = totals <= cfg.gamma
-        counts[start:stop] = (fires & ok[:, None, :]).sum(axis=2)
-        start = stop
-    return counts
+    """Success counts of every run, shape (runs, K), one binomial draw each.
+
+    User i succeeds in a slot when it fires and at most gamma - 1 others
+    do, independently in every slot, so its count over ``horizon`` periods
+    is Binomial(horizon * L, R_i) with R_i the closed-form throughput.
+    Each count has its exact law; users within a run are drawn
+    independently, which no reported statistic can tell apart.
+    """
+    rates = [float(r) for r in ti_throughput(sset.duty_factors, cfg.gamma).per_user]
+    return _generator(cfg.seed).binomial(
+        cfg.horizon * sset.period, rates, size=(cfg.runs, sset.size)
+    )
 
 
 def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
@@ -236,45 +216,37 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
     batch of runs (a fixed number of words, so memory does not grow with
     runs times L) is summed in bit-sliced counter planes in one numpy
     pass.  The counts equal ``success_counts`` at the drawn shifts; the
-    exhaustive verdicts and sessions stay on integer masks.  Results are
-    deterministic for a fixed seed.  Runs whose
-    arrays would hold more than ``core.MAX_ENTRIES`` entries (runs times
-    K, or runs times 2^K for the joint random-access sampler) are refused
-    with ``BudgetExceededError`` before anything is drawn.  So is a
-    slot-by-slot random-access run (more than 12 users) whose one run
-    draws more than ``core.MAX_ENTRIES`` slots (K times ``horizon``
-    periods), or whose runs draw more than ``core.DEFAULT_BUDGET`` in
-    total.
+    exhaustive verdicts and sessions stay on integer masks.  Random-access
+    runs draw each user's count from its binomial law (see the module
+    docstring), for any number of users.  Results are deterministic for
+    a fixed seed.  Runs whose arrays would hold more than
+    ``core.MAX_ENTRIES`` entries (runs times K) are refused with
+    ``BudgetExceededError`` before anything is drawn, and so are
+    random-access runs whose slots (runs times ``horizon`` periods) exceed
+    2^63 - 1, where the int64 counts and their sums would overflow.
     """
     K = sset.size
     validate_gamma(cfg.gamma, K)
     L = sset.period
-    joint = cfg.scheme == "random_access" and K <= _PATTERN_USER_LIMIT
-    entries = cfg.runs * (1 << K if joint else K)
+    entries = cfg.runs * K
     if entries > MAX_ENTRIES:
         raise BudgetExceededError(
             f"{cfg.runs} runs need arrays of {entries} entries, "
             f"the limit is {MAX_ENTRIES}"
         )
-    if cfg.scheme == "random_access" and not joint:
-        # one run's draws are one array, and the slot axis is never split
-        # (that would reorder the seeded stream)
-        per_run = K * cfg.horizon * L
-        if per_run > core.MAX_ENTRIES:
-            raise BudgetExceededError(
-                f"one run draws {per_run} slots, the limit is {core.MAX_ENTRIES}"
-            )
-        if cfg.runs * per_run > core.DEFAULT_BUDGET:
-            raise BudgetExceededError(
-                f"{cfg.runs} runs draw {cfg.runs * per_run} slots, "
-                f"the budget is {core.DEFAULT_BUDGET}"
-            )
     if cfg.scheme == "protocol_sequences":
         counts = _protocol_counts(sset, cfg)
-        denom = L
+        samples = L
     else:
+        samples = cfg.horizon * L
+        # the counts and their column sums are int64
+        top = int(np.iinfo(np.int64).max)
+        if cfg.runs * samples > top:
+            raise BudgetExceededError(
+                f"{cfg.runs} runs draw {cfg.runs * samples} slots, more "
+                f"than the int64 limit of {top}"
+            )
         counts = _random_access_counts(sset, cfg)
-        denom = cfg.horizon * L
     return SimResult(
         scheme=cfg.scheme,
         gamma=cfg.gamma,
@@ -282,22 +254,13 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
         horizon=cfg.horizon,
         seed=cfg.seed,
         rng=RNG_NAME,
-        samples_per_run=cfg.horizon * L,
-        per_user=_stats_from_counts(counts, denom),
+        samples_per_run=samples,
+        per_user=_stats_from_counts(counts, samples),
     )
 
 
 # ---------------------------------------------------------------------------
 # session-level decoding
-
-
-@dataclass(frozen=True)
-class SessionPacket:
-    """Header of one delivered packet, as the receiver reads it."""
-
-    user_id: int
-    period_parity: int
-    payload_index: int
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from protoseq import (
     count_config,
 )
 from protoseq import simulator
-from protoseq.core import rotation_table
+from protoseq.core import rotate_mask
 
 
 #: The smallest known pairwise-SI triple that is not SI (period 12).
@@ -127,7 +127,8 @@ def unpack_column(packed, period):
 
 def _pair_constant(m1, m2, period):
     """A pair's correlation is the same at every shift of the second mask."""
-    return len({(m1 & r).bit_count() for r in rotation_table(m2, period)}) == 1
+    return len({(m1 & rotate_mask(m2, t, period)).bit_count()
+                for t in range(period)}) == 1
 
 
 def search_oracle(candidates, seed, min_period=2, max_period=12):
@@ -149,9 +150,9 @@ def search_oracle(candidates, seed, min_period=2, max_period=12):
             continue
         found += 1
         values = {
-            (m1 & r2 & r3).bit_count()
-            for r2 in rotation_table(m2, L)
-            for r3 in rotation_table(m3, L)
+            (m1 & rotate_mask(m2, t2, L) & rotate_mask(m3, t3, L)).bit_count()
+            for t2 in range(L)
+            for t3 in range(L)
         }
         if len(values) > 1:
             hits.append(
@@ -184,22 +185,22 @@ def subset_sum_oracle(duty, gamma):
 
 
 def random_access_slot_oracle(sset, cfg):
-    """Success counts of the slot-by-slot random-access sampler, recounted
-    one slot at a time.
+    """Success counts of random-access runs, played one slot at a time.
 
-    Redraws the run's Philox stream as one array of uniforms (runs, K,
-    slots); a user fires in a slot when its uniform is below its duty
+    Each run draws one uniform per user and slot from the seeded Philox
+    stream; a user fires in a slot when its uniform is below its duty
     factor, and succeeds when at most gamma users fire there.
     """
     K = sset.size
     slots = cfg.horizon * sset.period
     duty = [float(f) for f in sset.duty_factors]
-    draws = simulator._generator(cfg.seed).random((cfg.runs, K, slots)).tolist()
+    rng = simulator._generator(cfg.seed)
     counts = []
-    for run in draws:
+    for _ in range(cfg.runs):
+        draws = rng.random((slots, K)).tolist()
         good = [0] * K
-        for t in range(slots):
-            fires = [run[k][t] < duty[k] for k in range(K)]
+        for row in draws:
+            fires = [u < f for u, f in zip(row, duty)]
             if sum(fires) <= cfg.gamma:
                 for k in range(K):
                     good[k] += fires[k]

@@ -138,6 +138,18 @@ def test_bound_command(capsys):
     assert len(divisors) == 7
 
 
+def test_bound_full_refuses_more_subsets_than_the_limit(capsys):
+    duty = ",".join(["1/2"] * 24)  # 2^24 - 1 subsets
+    code, out, err = run_cli(capsys, "bound", "--full", "--duty", duty)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "limit" in err
+    # without --full only the whole set is listed
+    code, payload, _ = run_json(capsys, "bound", "--duty", duty)
+    assert code == 0
+    assert [s["subset"] for s in payload["subset_divisors"]] == [list(range(1, 25))]
+
+
 def test_bound_trivial(capsys):
     code, payload, _ = run_json(capsys, "bound", "--duty", "1/1")
     assert code == 0
@@ -280,18 +292,36 @@ def test_oversized_runs_and_periods_exit_three(capsys, worked_file, argv):
     assert err.startswith("error: ") and "limit" in err
 
 
-def test_random_access_fallback_over_the_slot_cap_exits_three(capsys, tmp_path):
-    # 14 users take the slot-by-slot sampler; 10000 periods of 2^14 slots
-    # would be one 14 x 1.6e8 array
+def test_random_access_long_horizon_at_fourteen_users_exits_zero(capsys, tmp_path):
+    # 20 runs of 10000 periods of 2^14 slots: one binomial draw per user and run
     path = tmp_path / "k14.psq"
     path.write_text(format_sequence_set(construct_si(["1/2"] * 14)))
-    code, out, err = run_cli(
+    code, payload, err = run_json(
         capsys, "simulate", "--scheme", "random", "--horizon", "10000",
-        "--gamma", "1", "--runs", "1", "--seed", "0", str(path),
+        "--gamma", "1", "--runs", "20", "--seed", "0", str(path),
+    )
+    assert code == 0 and err == ""
+    assert payload["samples_per_run"] == 10000 * 2**14
+    assert len(payload["per_user"]) == 14
+
+
+def test_random_access_over_the_int64_slot_total_exits_three(capsys, worked_file):
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", "random", "--horizon", str(10**18),
+        "--runs", "3", "--gamma", "1", "--seed", "0", worked_file,
     )
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ") and "limit" in err
+    assert err.startswith("error: ") and "int64" in err and "Traceback" not in err
+
+
+def test_simulate_protocol_measures_one_period_at_any_horizon(capsys, worked_file):
+    argv = ["simulate", "--gamma", "2", "--runs", "10", "--seed", "1", worked_file]
+    code_a, one, _ = run_json(capsys, *argv)
+    code_b, five, _ = run_json(capsys, *argv[:-1], "--horizon", "5", worked_file)
+    assert code_a == code_b == 0
+    assert one["samples_per_run"] == five["samples_per_run"] == 27
+    assert one["per_user"] == five["per_user"]
 
 
 @pytest.mark.parametrize("extra", [(), ("--trust-ti",)])

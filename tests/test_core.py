@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,6 @@ from protoseq.core import (
     count_planes,
     exact_count_mask,
     rotate_mask,
-    rotation_table,
 )
 
 from helpers import random_set
@@ -205,6 +206,19 @@ def test_bitmask_layer_matches_reference():
         )
 
 
+def test_reference_imports_nothing_it_checks():
+    # the oracle may lean on the shared types in core, and on no code it checks
+    tree = ast.parse(Path(reference.__file__).read_text())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "protoseq"
+                                                 or node.module.startswith("protoseq.")):
+            package.append((node.level, node.module))
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "protoseq" for a in node.names)
+    assert package == [(1, "core")]
+
+
 def test_bit_helpers_against_direct_counting():
     rng = random.Random(5)
     for _ in range(60):
@@ -228,8 +242,6 @@ def test_rotate_mask_matches_cyclic_shift():
         s = BinarySequence(tuple(rng.randint(0, 1) for _ in range(L)))
         tau = rng.randint(-L, 3 * L)
         assert rotate_mask(s.mask, tau, L) == cyclic_shift(s, tau).mask
-        table = rotation_table(s.mask, L)
-        assert table == tuple(rotate_mask(s.mask, t, L) for t in range(L))
 
 
 # ---------------------------------------------------------------------------

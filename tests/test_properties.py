@@ -24,7 +24,7 @@ from protoseq import (
     verify_witness,
 )
 from protoseq import reference, simulator
-from protoseq.core import at_most_mask, count_planes, exact_count_mask, rotation_table
+from protoseq.core import at_most_mask, count_planes, exact_count_mask
 
 from helpers import first_difference_si, first_difference_ti
 
@@ -79,20 +79,6 @@ def test_counter_planes_match_reference_histograms(trial):
         assert [(at_most >> t) & 1 for t in range(L)] == [n <= j for n in fires]
         assert exact.bit_count() == (histogram[j] if 0 <= j <= K else 0)
         assert at_most.bit_count() == sum(histogram[: max(j + 1, 0)])
-
-
-@given(mask_lists())
-def test_rotation_table_matches_reference_shifts(trial):
-    L = trial.period
-    seq = trial.sequences[0]
-    table = rotation_table(seq.mask, L)
-    assert len(table) == L
-    for t, rotated in enumerate(table):
-        pair = SequenceSet((seq, BinarySequence.from_mask(rotated, L)))
-        # the schedule under shift t agrees with entry t in every slot
-        agree = (reference.count_config(pair, (t, 0), (1, 1))
-                 + reference.count_config(pair, (t, 0), (0, 0)))
-        assert agree == L
 
 
 @given(sequence_sets())

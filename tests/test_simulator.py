@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from protoseq import (
@@ -14,11 +15,11 @@ from protoseq import (
     run_session,
     symmetric_throughput,
 )
-from protoseq import core, reference, simulator
+from protoseq import reference, simulator
 from protoseq.analysis import success_counts
 from protoseq.core import rotate_mask
 
-from helpers import random_access_slot_oracle, random_set
+from helpers import random_access_slot_oracle, random_set, subset_sum_oracle
 
 NOT_TI = SequenceSet.from_strings(["110", "101"])
 
@@ -79,36 +80,77 @@ def test_random_access_silent_user():
     assert result.per_user[0].maximum == 0
 
 
-def test_random_access_slot_fallback_agrees(monkeypatch):
-    sset = construct_si(["1/3"] * 3)
-    cfg = SimConfig(gamma=2, runs=4000, seed=31, horizon=2, scheme="random_access")
-    fast = run_monte_carlo(sset, cfg)
-    monkeypatch.setattr(simulator, "_PATTERN_USER_LIMIT", 0)
-    slow = run_monte_carlo(sset, cfg)
-    expected = symmetric_throughput(Fraction(1, 3), 3, 2)
-    for stats in (fast.per_user + slow.per_user):
-        assert abs(float(stats.mean) - float(expected)) < 0.02
+def test_random_access_means_agree_at_three_and_fourteen_users():
+    # one binomial draw per user and run, whatever the number of users
+    for users, duty, gamma, runs, horizon in ((3, "1/3", 2, 4000, 2),
+                                              (14, "1/2", 7, 200, 1)):
+        sset = construct_si([duty] * users)
+        cfg = SimConfig(gamma=gamma, runs=runs, seed=31, horizon=horizon,
+                        scheme="random_access")
+        result = run_monte_carlo(sset, cfg)
+        expected = symmetric_throughput(Fraction(duty), users, gamma)
+        for stats in result.per_user:
+            assert abs(float(stats.mean) - float(expected)) < 0.02
+            assert stats.minimum < stats.mean < stats.maximum
 
 
-def test_random_access_slot_fallback_matches_slot_by_slot_recount(monkeypatch):
+class _RecordingGenerator:
+    """Passes ``binomial`` calls to a generator and records their arguments."""
+
+    def __init__(self, generator, calls):
+        self._generator = generator
+        self._calls = calls
+
+    def binomial(self, n, p, size):
+        self._calls.append((n, list(p), size))
+        return self._generator.binomial(n, p, size=size)
+
+
+def _assert_same_mean_and_variance(a, b, sigmas=6):
+    """Per column, two samples' means and variances agree within ``sigmas``
+    standard errors of their difference."""
+    for x, y in zip(np.asarray(a, dtype=float).T, np.asarray(b, dtype=float).T):
+        moments = []
+        for col in (x, y):
+            mean, var = col.mean(), col.var()
+            dev = (col - mean) ** 2
+            moments.append((mean, var, var / len(col), dev.var() / len(col)))
+        (m1, v1, sm1, sv1), (m2, v2, sm2, sv2) = moments
+        assert abs(m1 - m2) <= sigmas * np.sqrt(sm1 + sm2)
+        assert abs(v1 - v2) <= sigmas * np.sqrt(sv1 + sv2)
+
+
+def test_random_access_counts_match_the_slot_level_reference(monkeypatch):
     rng = random.Random(29)
-    wide = random_set(rng, 13, 5)  # above the joint sampler's 12 users
-    cases = [(wide, 2, 3, 1), (wide, 6, 2, 2)]
-    # below it, the fallback is forced by lowering the user limit
-    for _ in range(6):
+    # (set, gamma, reference runs, horizon); the K=14 set has L = 2^14
+    cases = [
+        (construct_si(["1/2"] * 14), 3, 12, 1),
+        (construct_si(("0/1", "1/2", "1/1")), 1, 300, 2),
+        (construct_si(("0/1", "1/3", "1/1", "2/3")), 2, 300, 1),
+    ]
+    for _ in range(8):
         trial = random_set(rng, rng.randint(2, 5), rng.randint(1, 9))
-        cases.append((trial, rng.randint(1, trial.size - 1), rng.choice((1, 7)),
-                      rng.randint(1, 3)))
-    monkeypatch.setattr(simulator, "_PATTERN_USER_LIMIT", 0)
+        cases.append((trial, rng.randint(1, trial.size - 1), 300, rng.randint(1, 3)))
     for trial, gamma, runs, horizon in cases:
-        cfg = SimConfig(gamma=gamma, runs=runs, seed=rng.randrange(99),
-                        horizon=horizon, scheme="random_access")
-        expected = random_access_slot_oracle(trial, cfg)
-        assert simulator._random_access_counts(trial, cfg).tolist() == expected
-        # runs split over several slot batches draw the same stream
+        K, L = trial.size, trial.period
+        seed = rng.randrange(99)
+        expected = random_access_slot_oracle(
+            trial, SimConfig(gamma=gamma, runs=runs, seed=seed, horizon=horizon,
+                             scheme="random_access"))
+        cfg = SimConfig(gamma=gamma, runs=10 * runs, seed=seed + 1, horizon=horizon,
+                        scheme="random_access")
+        calls = []
+        real = simulator._generator
         with monkeypatch.context() as m:
-            m.setattr(simulator, "_SLOT_BATCH", 1)
-            assert simulator._random_access_counts(trial, cfg).tolist() == expected
+            m.setattr(simulator, "_generator",
+                      lambda s: _RecordingGenerator(real(s), calls))
+            counts = simulator._random_access_counts(trial, cfg)
+        # one draw of horizon * L slots per user and run, at the closed-form rates
+        assert calls == [(horizon * L,
+                          [float(r) for r in subset_sum_oracle(trial.duty_factors, gamma)],
+                          (cfg.runs, K))]
+        assert counts.shape == (cfg.runs, K) and counts.dtype == np.int64
+        _assert_same_mean_and_variance(counts, expected)
 
 
 def _counts_at_drawn_shifts(sset, cfg):
@@ -161,8 +203,8 @@ def test_protocol_counts_do_not_depend_on_the_batch(monkeypatch, batch_words):
     "scheme, users, entries_per_run",
     [
         ("protocol_sequences", 3, 3),  # runs x K
-        ("random_access", 3, 8),  # runs x 2^K, joint sampler
-        ("random_access", 14, 14),  # runs x K, slot-by-slot fallback
+        ("random_access", 3, 3),
+        ("random_access", 14, 14),
     ],
 )
 def test_monte_carlo_refuses_oversized_run_arrays(monkeypatch, scheme, users,
@@ -174,27 +216,24 @@ def test_monte_carlo_refuses_oversized_run_arrays(monkeypatch, scheme, users,
         run_monte_carlo(sset, SimConfig(gamma=1, runs=3, seed=0, scheme=scheme))
 
 
-def test_random_access_fallback_refuses_oversized_slot_draws(monkeypatch):
-    sset = construct_si(["1/2"] * 14)  # slot-by-slot sampler, L = 2^14
-    per_period = 14 * sset.period
+def test_random_access_refuses_int64_overflowing_slot_totals(example_set):
+    L = example_set.period
+    top = (1 << 63) - 1
 
     def run(runs, horizon):
         cfg = SimConfig(gamma=1, runs=runs, seed=0, horizon=horizon,
                         scheme="random_access")
-        return run_monte_carlo(sset, cfg)
+        return run_monte_carlo(example_set, cfg)
 
-    # one run's K * horizon * L draws against core.MAX_ENTRIES
-    monkeypatch.setattr(core, "MAX_ENTRIES", 2 * per_period)
-    run(1, 2)
-    with pytest.raises(BudgetExceededError, match="one run draws"):
-        run(1, 3)
-    # all runs' draws against core.DEFAULT_BUDGET
-    monkeypatch.setattr(core, "DEFAULT_BUDGET", 3 * per_period)
-    run(3, 1)
-    with pytest.raises(BudgetExceededError, match="runs draw"):
-        run(4, 1)
-    with pytest.raises(BudgetExceededError, match="runs draw"):
-        run(2, 2)
+    # runs * horizon * L up to 2^63 - 1 are counted exactly in int64
+    result = run(1, top // L)
+    assert result.samples_per_run == top // L * L
+    for stats in result.per_user:
+        assert stats.minimum == stats.mean == stats.maximum
+    with pytest.raises(BudgetExceededError, match="int64"):
+        run(2, top // L)
+    with pytest.raises(BudgetExceededError, match="int64"):
+        run(3, 10**18)
 
 
 def test_monte_carlo_refuses_huge_run_counts_up_front(example_set):
