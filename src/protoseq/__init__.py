@@ -33,6 +33,7 @@ from .construction import (
     min_period_bound,
     parse_duty_spec,
     si_divisibility,
+    subset_divisors,
 )
 from .analysis import (
     DEFAULT_BUDGET,
@@ -46,6 +47,7 @@ from .analysis import (
     allone_constraint,
     check_lemma_delta,
     check_lemma_theta,
+    correlation_values,
     delta_record,
     find_pairwise_si_not_si,
     is_pairwise_si,

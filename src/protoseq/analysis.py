@@ -66,6 +66,7 @@ __all__ = [
     "throughput_at",
     "is_si",
     "is_pairwise_si",
+    "correlation_values",
     "is_ti",
     "allone_constraint",
     "delta_record",
@@ -274,6 +275,14 @@ class _Lanes:
     def field(self, packed: int, f: int) -> int:
         return (packed >> (self.width * f)) & ((1 << self.width) - 1)
 
+    def fields(self, packed: int) -> Sequence[int]:
+        """All ``period`` fields of a packed column, field 0 first."""
+        data = packed.to_bytes(self.bits // 8, "little")
+        k = self.width // 8
+        if k == 1:
+            return data
+        return [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
+
 
 #: The layout of a period, built once for the most recently swept periods.
 _lanes = lru_cache(maxsize=64)(_Lanes)
@@ -435,6 +444,36 @@ def is_pairwise_si(sset: SequenceSet, budget: int = DEFAULT_BUDGET) -> PropertyV
     """
     sizes = [2] if sset.size >= 2 else []
     return _constant_correlation_scan(sset, sizes, "PAIRWISE_SI", budget)
+
+
+def correlation_values(sset: SequenceSet, users: Sequence[int]) -> set[int]:
+    """Every value a user tuple's cross-correlation takes over all shifts.
+
+    A common offset only relabels slots, so the first member's shift is
+    pinned to zero; the other shifts range over the period, read from
+    the packed columns of the SI sweep.  Tuples of more than
+    ``DEFAULT_BUDGET`` slot evaluations (L^m for m members) are refused.
+    """
+    users = validate_users(users, sset.size)
+    L = sset.period
+    cost = L ** len(users)
+    if cost > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"correlation values need {cost} slot evaluations, "
+            f"budget is {DEFAULT_BUDGET}"
+        )
+    masks = [sset.masks[u - 1] for u in users]
+    if len(masks) == 1:
+        return {masks[0].bit_count()}
+    lanes = _lanes(L)
+    middle_tables = [lanes.rotations(lanes.spread(m)) for m in masks[1:-1]]
+    columns = _correlations(
+        lanes, lanes.spread(masks[0]), middle_tables, lanes.spread_reversed(masks[-1])
+    )
+    values: set[int] = set()
+    for column in columns:
+        values.update(lanes.fields(column))
+    return values
 
 
 def is_ti(

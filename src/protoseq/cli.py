@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from .core import (
     BudgetExceededError,
     SequenceSet,
     format_sequence_set,
-    hamming_cross_correlation,
     parse_sequence_set,
 )
 
@@ -35,6 +35,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+#: ``bound`` lists every subset's divisor up to this many users, and only
+#: the whole set's above it unless ``--full`` is given.
+BOUND_LIST_USERS = 16
 
 
 def _rational(x: Fraction) -> dict:
@@ -61,9 +65,30 @@ def _witness_json(w: analysis.Witness | None):
     }
 
 
+def _out(text: str) -> None:
+    """Write to stdout; a reader that has gone away ends the output quietly.
+
+    On a closed pipe the rest of the output is dropped: stdout's file
+    descriptor, if it has one, is pointed at the null device, so later
+    writes and the flush at exit succeed, and the command still returns
+    its own exit code.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+
+
 def _emit(payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, indent=2))
+    _out(json.dumps(payload, indent=2) + "\n")
 
 
 def _read_set(path: str) -> SequenceSet:
@@ -75,7 +100,7 @@ def _read_set(path: str) -> SequenceSet:
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _out(text)
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -100,29 +125,19 @@ def _cmd_bound(args) -> int:
         raise BudgetExceededError(
             f"{k} users have {(1 << k) - 1} subsets, the limit is {MAX_ENTRIES}"
         )
-    subsets = []
-    if k <= 20 or args.full:
-        for m in range(1, k + 1):
-            for users in itertools.combinations(range(1, k + 1), m):
-                subsets.append(
-                    {
-                        "subset": list(users),
-                        "divisor": construction.si_divisibility(duty, users),
-                    }
-                )
+    users = range(1, k + 1)
+    if k <= BOUND_LIST_USERS or args.full:
+        subsets = [s for m in users for s in itertools.combinations(users, m)]
     else:
-        full_set = tuple(range(1, k + 1))
-        subsets.append(
-            {
-                "subset": list(full_set),
-                "divisor": construction.si_divisibility(duty, full_set),
-            }
-        )
+        subsets = [tuple(users)]
+    divisors = construction.subset_divisors(duty, subsets)
     _emit(
         {
             "duty": [_rational(f) for f in duty],
             "period_bound": period,
-            "subset_divisors": subsets,
+            "subset_divisors": [
+                {"subset": list(s), "divisor": d} for s, d in zip(subsets, divisors)
+            ],
         }
     )
     return EXIT_OK
@@ -290,24 +305,22 @@ def _cmd_example(args) -> int:
     duty = construction.parse_duty_spec(",".join(_EXAMPLE_DUTY))
     sset = construction.construct_si(duty)
     L = sset.period
-    print(f"duty factors: {', '.join(_EXAMPLE_DUTY)}")
-    print(f"period: {L} (bound {construction.min_period_bound(duty)})")
-    print("sequences:")
+    _out(f"duty factors: {', '.join(_EXAMPLE_DUTY)}\n")
+    _out(f"period: {L} (bound {construction.min_period_bound(duty)})\n")
+    _out("sequences:\n")
     for i, seq in enumerate(sset.sequences, start=1):
         text = seq.to_string()
-        print(f"  s{i} = {text}")
+        _out(f"  s{i} = {text}\n")
         if text != _EXAMPLE_ROWS[i - 1]:
             failures.append(f"sequence s{i} deviates from the expected layout")
 
     for users, expected in _EXAMPLE_H.items():
-        # a triple's first shift is pinned, so every tuple sweeps L * L shifts
-        pinned = (0,) * (len(users) - 2)
-        values = {
-            hamming_cross_correlation(sset, users, pinned + shifts)
-            for shifts in itertools.product(range(L), repeat=2)
-        }
+        # the values pin the first shift, as a common offset only relabels
+        # slots: so they are a pair's over all L * L shift tuples, and the
+        # triple's over the L * L tuples with its first shift pinned
+        values = analysis.correlation_values(sset, users)
         label = ",".join(str(u) for u in users)
-        print(f"H({label}) over {L * L} shift tuples: {sorted(values)}")
+        _out(f"H({label}) over {L * L} shift tuples: {sorted(values)}\n")
         if values != {expected}:
             failures.append(f"H({label}) expected constant {expected}")
 
@@ -315,10 +328,10 @@ def _cmd_example(args) -> int:
         verdict = analysis.is_ti(sset, gamma)
         values = analysis.throughput_at(sset, (0, 0, 0), gamma)
         closed = throughput.ti_throughput(duty, gamma).per_user
-        print(
+        _out(
             f"gamma={gamma}: TI={verdict.holds} "
             f"({verdict.configurations_checked} shift classes), "
-            f"R = {', '.join(str(v) for v in values)}"
+            f"R = {', '.join(str(v) for v in values)}\n"
         )
         if not verdict.holds:
             failures.append(f"set not TI at gamma={gamma}")
@@ -326,7 +339,7 @@ def _cmd_example(args) -> int:
             failures.append(f"throughput at gamma={gamma} deviates from {expected}")
 
     si = analysis.is_si(sset)
-    print(f"SI: {si.holds} ({si.configurations_checked} correlations checked)")
+    _out(f"SI: {si.holds} ({si.configurations_checked} correlations checked)\n")
     if not si.holds:
         failures.append("set not SI")
 
@@ -334,7 +347,7 @@ def _cmd_example(args) -> int:
         for f in failures:
             print(f"MISMATCH: {f}", file=sys.stderr)
         return EXIT_VIOLATION
-    print("all values reproduced")
+    _out("all values reproduced\n")
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "parse_duty_spec",
     "min_period_bound",
     "si_divisibility",
+    "subset_divisors",
     "build_arrays",
     "construct_si",
 ]
@@ -76,18 +77,30 @@ def si_divisibility(duty: Iterable, subset: Sequence[int]) -> int:
     gcd(prod d_i, prod n_i); the common period of a shift-invariant set
     with these duty factors is divisible by this value.
     """
+    return subset_divisors(duty, [subset])[0]
+
+
+def subset_divisors(duty: Iterable, subsets: Iterable[Sequence[int]]) -> list[int]:
+    """``si_divisibility`` of every given subset, in order.
+
+    The duty factors are checked, and split into numerators and
+    denominators, once for all the subsets.
+    """
     duty = as_duty_factors(duty)
-    idx = sorted({int(u) for u in subset})
-    if not idx:
-        raise ValueError("subset must be non-empty")
-    if idx[0] < 1 or idx[-1] > len(duty):
-        raise ValueError(f"subset indices must lie in [1, {len(duty)}]")
-    prod_d = 1
-    prod_n = 1
-    for u in idx:
-        prod_d *= duty[u - 1].denominator
-        prod_n *= duty[u - 1].numerator
-    return prod_d // math.gcd(prod_d, prod_n)
+    K = len(duty)
+    nums = [f.numerator for f in duty]
+    dens = [f.denominator for f in duty]
+    divisors = []
+    for subset in subsets:
+        idx = sorted({int(u) for u in subset})
+        if not idx:
+            raise ValueError("subset must be non-empty")
+        if idx[0] < 1 or idx[-1] > K:
+            raise ValueError(f"subset indices must lie in [1, {K}]")
+        prod_d = math.prod([dens[u - 1] for u in idx])
+        prod_n = math.prod([nums[u - 1] for u in idx])
+        divisors.append(prod_d // math.gcd(prod_d, prod_n))
+    return divisors
 
 
 def _layout(duty: Iterable, fill: str) -> tuple[tuple[Fraction, ...], int]:
@@ -145,30 +158,76 @@ def construct_si(
     The common period is the product of the duty denominators; schedule i
     is its ``build_arrays`` array read out column by column (rows top to
     bottom inside a column) and repeated periodically.  Each schedule's
-    mask is built directly, in time linear in the period, and the random
-    fill draws from the seeded generator in ``build_arrays``' order.  Sets
-    of more than ``DEFAULT_BUDGET`` slots in total are refused before
-    anything is allocated.
+    mask is built directly, in time linear in the period.  The random
+    fill makes the same draws as ``build_arrays``: each row's one-columns
+    are those ``random.Random(seed).sample(range(d), n)`` picks, by an
+    inline copy of ``sample`` on ``getrandbits`` (see ``_fill_rows``), so
+    every seed gives the same set.  Sets of more than ``DEFAULT_BUDGET``
+    slots in total are refused before anything is allocated.
     """
     duty, L = _layout(duty, fill)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     sequences = []
     rows = 1
     for f in duty:
         n, d = f.numerator, f.denominator
         span = rows * d
-        # column-major readout: cell (r, c) of the array is slot c * rows + r
         if fill == "left":
             block = full_mask(n * rows)
         else:
             readout = bytearray(b"0") * span
-            for r in range(rows):
-                for c in rng.sample(range(d), n):
-                    readout[c * rows + r] = ord("1")
+            _fill_rows(getrandbits, d, n, rows, readout)
             block = int(readout[::-1], 2)
         sequences.append(BinarySequence.from_mask(_repeat(block, span, L), L))
         rows = span
     return SequenceSet(tuple(sequences))
+
+
+def _pool_limit(n: int) -> int:
+    """Largest population ``random.Random.sample`` draws ``n`` items from
+    with its pool branch; above it, it uses the rejection-set branch."""
+    limit = 21
+    if n > 5:
+        limit += 4 ** math.ceil(math.log(n * 3, 4))
+    return limit
+
+
+def _fill_rows(getrandbits, d: int, n: int, rows: int, readout: bytearray) -> None:
+    """Mark the one-columns of ``rows`` array rows of ``d`` columns each.
+
+    Row r gets the n columns that ``sample(range(d), n)`` of a
+    ``random.Random`` returns, drawn from that generator's bound
+    ``getrandbits`` exactly as CPython draws them: each index below m
+    comes from ``getrandbits(m.bit_length())``, redrawn while it is at
+    least m.  For d up to ``_pool_limit(n)`` the draws pick from a pool
+    whose chosen entries are replaced by the last unchosen one; above it
+    they pick from all d columns, redrawing columns already chosen.
+    Cell (r, c) is byte c * rows + r of ``readout`` (the column-major
+    readout), and a marked cell is set to b"1".
+    """
+    one = ord("1")
+    if d <= _pool_limit(n):
+        steps = [(d - i, (d - i).bit_length()) for i in range(n)]
+        # the pool holds each column's first cell, c * rows
+        columns = list(range(0, d * rows, rows))
+        for r in range(rows):
+            pool = columns[:]
+            for m, k in steps:
+                j = getrandbits(k)
+                while j >= m:
+                    j = getrandbits(k)
+                readout[pool[j] + r] = one
+                pool[j] = pool[m - 1]
+    else:
+        k = d.bit_length()
+        for r in range(rows):
+            chosen = set()
+            for _ in range(n):
+                c = getrandbits(k)
+                while c >= d or c in chosen:
+                    c = getrandbits(k)
+                chosen.add(c)
+                readout[c * rows + r] = one
 
 
 def _repeat(block: int, span: int, period: int) -> int:

@@ -182,9 +182,13 @@ class BinarySequence:
 
     @classmethod
     def from_string(cls, text: str) -> "BinarySequence":
-        """Schedule from a '0'/'1' string, slot 0 first."""
+        """Schedule from a '0'/'1' string, slot 0 first.
+
+        Surrounding whitespace is ignored; anything else that is not a
+        '0' or a '1' is rejected.
+        """
         text = text.strip()
-        if text.strip("01"):
+        if not _is_binary(text):
             raise ValueError("schedule entries must be 0 or 1")
         return cls.from_mask(int(text[::-1] or "0", 2), len(text))
 
@@ -460,26 +464,38 @@ def theta_profile(
 # text interchange format
 
 
+def _is_binary(text: str) -> bool:
+    """Whether ``text`` holds only '0' and '1' characters, by two counts
+    at C speed."""
+    return text.count("0") + text.count("1") == len(text)
+
+
 def parse_sequence_set(text: str) -> SequenceSet:
     """Parse the line-per-schedule text format.
 
     Lines hold only '0'/'1' characters; blank lines and lines starting
     with '#' are ignored; every schedule line must have the same length,
-    which becomes the common period.
+    which becomes the common period.  Each schedule line is validated
+    once, by an exact linear check (its '0' and '1' counts add up to its
+    length), and then read straight into its mask, so parsing is linear
+    in the text.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.strip("01"):
+        if not _is_binary(line):
             raise ValueError(f"line {lineno}: only '0'/'1' characters allowed")
         rows.append(line)
     if not rows:
         raise ValueError("no schedules found")
-    if len({len(r) for r in rows}) != 1:
+    period = len(rows[0])
+    if any(len(r) != period for r in rows):
         raise ValueError("all schedule lines must have equal length")
-    return SequenceSet.from_strings(rows)
+    return SequenceSet(
+        tuple(BinarySequence.from_mask(int(r[::-1], 2), period) for r in rows)
+    )
 
 
 def format_sequence_set(sset: SequenceSet) -> str:

@@ -29,6 +29,35 @@ def random_set(rng: random.Random, users: int, period: int) -> SequenceSet:
     return SequenceSet(tuple(random_sequence(rng, period) for _ in range(users)))
 
 
+def strip_sequence_oracle(text):
+    """``BinarySequence.from_string`` as it validated with ``strip("01")``.
+
+    Returns the schedule, or None where that validator rejected the text.
+    """
+    text = text.strip()
+    if text.strip("01") or not text:
+        return None
+    return BinarySequence.from_mask(int(text[::-1], 2), len(text))
+
+
+def strip_parse_oracle(text):
+    """``parse_sequence_set`` as it validated every line with ``strip("01")``.
+
+    Returns the set, or None where that parser rejected the text.
+    """
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.strip("01"):
+            return None
+        rows.append(line)
+    if not rows or len({len(r) for r in rows}) != 1:
+        return None
+    return SequenceSet(tuple(strip_sequence_oracle(r) for r in rows))
+
+
 def exhaustive_pair_correlations(sset, users):
     """All correlation values of a user pair over the full shift square."""
     L = sset.period

@@ -23,6 +23,7 @@ from protoseq import (
     check_lemma_theta,
     consistency_check,
     construct_si,
+    correlation_values,
     count_config,
     delta_record,
     find_pairwise_si_not_si,
@@ -283,6 +284,34 @@ def test_verdicts_with_16_bit_fields_match_brute_force_scans():
     closed = ti_throughput(duty, 1).per_user
     assert tuple(Fraction(t, 300 * 300) for t in totals) == closed
     assert consistency_check(duty, 1)
+
+
+def test_correlation_values_cover_every_shift_tuple():
+    rng = random.Random(23)
+    trials = [random_set(rng, rng.randint(1, 4), rng.randint(1, 7)) for _ in range(30)]
+    trials.append(sset(*PAIRWISE_SI_NOT_SI))
+    for trial in trials:
+        K, L = trial.size, trial.period
+        for m in range(1, K + 1):
+            for users in itertools.combinations(range(1, K + 1), m):
+                expected = {
+                    reference.hamming_cross_correlation(trial, users, shifts)
+                    for shifts in itertools.product(range(L), repeat=m)
+                }
+                assert correlation_values(trial, users) == expected, (trial, users)
+    # 16-bit fields: a pair of period 300 whose correlations exceed 255
+    rng = random.Random(300)
+    a = BinarySequence.from_mask(rng.getrandbits(300) | ((1 << 300) - (1 << 40)), 300)
+    pair = SequenceSet((a, a))
+    expected = {
+        (a.mask & rotate_mask(a.mask, t, 300)).bit_count() for t in range(300)
+    }
+    assert max(expected) > 255
+    assert correlation_values(pair, (1, 2)) == expected
+    with pytest.raises(ValueError):
+        correlation_values(pair, (2, 1))
+    with pytest.raises(BudgetExceededError):
+        correlation_values(construct_si(["1/2"] * 5 + ["1/3"] * 3), (1, 2, 3, 4))
 
 
 def test_frozen_pairwise_si_triple_is_not_si():

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from protoseq import (
     analysis,
@@ -148,6 +153,16 @@ def test_bound_full_refuses_more_subsets_than_the_limit(capsys):
     code, payload, _ = run_json(capsys, "bound", "--duty", duty)
     assert code == 0
     assert [s["subset"] for s in payload["subset_divisors"]] == [list(range(1, 25))]
+
+
+def test_bound_lists_every_subset_only_up_to_sixteen_users(capsys):
+    assert cli.BOUND_LIST_USERS == 16
+    duty = ",".join(["1/2"] * 17)
+    code, payload, _ = run_json(capsys, "bound", "--duty", duty)
+    assert code == 0
+    assert payload["subset_divisors"] == [
+        {"subset": list(range(1, 18)), "divisor": 2**17}
+    ]
 
 
 def test_bound_trivial(capsys):
@@ -354,3 +369,77 @@ def test_analysis_errors_map_to_exit_codes(capsys, monkeypatch, worked_file,
     assert code == expected
     assert out == ""
     assert err == f"error: {exc}\n"
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone away: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("rows, expected", [(WORKED_ROWS, 0), (("10", "10"), 1)])
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(
+    capsys, monkeypatch, tmp_path, rows, expected
+):
+    path = tmp_path / "set.psq"
+    path.write_text("".join(r + "\n" for r in rows))
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert cli.main(["verify", "--property", "si", str(path)]) == expected
+    assert cli.main(["example"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_points_stdout_at_the_null_device(capsys, monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert cli.main(["throughput", "--duty", "2/3,1/3,1/3", "--gamma", "2"]) == 0
+        # the descriptor now leads to the null device, so the flush at
+        # exit stays quiet
+        stream.write("more output\n")
+        stream.flush()
+    assert capsys.readouterr().err == ""
+
+
+@st.composite
+def fuzzed_files(draw):
+    """Bytes of small sets: valid ones, and ones with non-ASCII bytes,
+    comments, unequal lines, CRLF or CR line ends, or nothing at all."""
+    K = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 5))
+    row = st.text("01", min_size=L, max_size=L).map(str.encode)
+    noise = st.one_of(
+        st.text("01", max_size=6).map(str.encode),
+        st.sampled_from([b"# comment", b"  ", b"\t10", b"1 0", b"10x", b"\x00"]),
+        st.sampled_from(["\u00e9", "\uff11", "\u0660", "\u3000"]).map(str.encode),
+        st.binary(max_size=4),
+    )
+    lines = draw(st.lists(row, max_size=K))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return b"".join(x + end for x in lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "set.psq"
+
+
+@given(fuzzed_files())
+def test_fuzzed_set_files_exit_with_a_documented_code(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    for argv in (
+        ["verify", "--property", "si", str(fuzz_path)],
+        ["simulate", "--gamma", "1", "--runs", "3", "--seed", "0", str(fuzz_path)],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), (argv, data)
+        if code in (0, 1):
+            assert json.loads(out.getvalue())["schema"] == 1
+        else:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")

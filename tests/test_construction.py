@@ -18,7 +18,9 @@ from protoseq import (
     parse_duty_spec,
     parse_sequence_set,
     si_divisibility,
+    subset_divisors,
 )
+from protoseq.construction import _fill_rows, _pool_limit
 
 from helpers import exhaustive_pair_correlations
 
@@ -74,6 +76,17 @@ def test_si_divisibility_examples():
         si_divisibility(("1/2",), ())
     with pytest.raises(ValueError):
         si_divisibility(("1/2",), (2,))
+
+
+def test_subset_divisors_match_si_divisibility():
+    duty = ("2/3", "1/3", "1/3", "3/4", "5/6")
+    subsets = [s for m in range(1, 6) for s in itertools.combinations(range(1, 6), m)]
+    subsets += [(3, 1), (2, 2, 5)]
+    assert subset_divisors(duty, subsets) == [si_divisibility(duty, s) for s in subsets]
+    assert subset_divisors(duty, []) == []
+    for bad in ([()], [(1,), (6,)], [(0, 1)]):
+        with pytest.raises(ValueError):
+            subset_divisors(duty, bad)
 
 
 def test_duty_factors_reduce_to_lowest_terms():
@@ -175,18 +188,59 @@ def readout_oracle(duty, fill, seed):
     return SequenceSet(tuple(rows))
 
 
+#: Duty lists whose rows ``random.sample`` draws with its rejection-set
+#: branch (denominators above 21, and above 85 for numerators above 5)
+#: as well as with its pool branch.
+SET_BRANCH_DUTIES = (
+    ("3/22", "7/90"),
+    ("1/23", "25/28"),
+    ("17/120", "2/3"),
+    ("31/97",),
+    ("5/26", "13/101"),
+    ("1/2", "4/25", "6/7"),
+)
+
+
 def test_construct_si_matches_array_readout():
     rng = random.Random(41)
-    for _ in range(40):
-        duty = tuple(
+    duties = [
+        tuple(
             Fraction(rng.randint(0, d), d)
             for d in (rng.randint(1, 7) for _ in range(rng.randint(1, 4)))
         )
+        for _ in range(40)
+    ]
+    duties += [as_duty_factors(duty) for duty in SET_BRANCH_DUTIES]
+    pooled = {f.denominator <= _pool_limit(f.numerator) for duty in duties for f in duty}
+    assert pooled == {True, False}
+    for duty in duties:
         assert construct_si(duty) == readout_oracle(duty, "left", None), duty
         for seed in (0, 1, rng.getrandbits(32)):
             assert construct_si(duty, "random", seed) == readout_oracle(
                 duty, "random", seed
             ), (duty, seed)
+
+
+def test_row_sampler_draws_as_random_sample():
+    # one pair of generators in lock step: after each case both must be at
+    # the same point of their streams
+    seed = 20240611
+    ours, theirs = random.Random(seed), random.Random(seed)
+    branches = set()
+    for d in range(1, 201):
+        for n in range(d + 1):
+            rows = 3 if d % 7 == 0 else 1
+            readout = bytearray(b"0") * (d * rows)
+            _fill_rows(ours.getrandbits, d, n, rows, readout)
+            for r in range(rows):
+                # row r's cells, column by column
+                expected = bytearray(b"0") * d
+                for c in theirs.sample(range(d), n):
+                    expected[c] = ord("1")
+                assert readout[r::rows] == expected, (d, n, r)
+            assert ours.getrandbits(32) == theirs.getrandbits(32), (d, n)
+            branches.add(d <= _pool_limit(n))
+    assert branches == {True, False}
 
 
 def test_construct_si_refuses_oversized_periods_up_front():

@@ -1,12 +1,14 @@
 """Property-based checks of the counting primitives, the block shift
 sweeps, witness re-checks, the protocol Monte-Carlo counts and the text
-format against ``protoseq.reference``.
+format against ``protoseq.reference``, and of the text validators
+against the ``strip``-based ones they replaced.
 
 The examples are drawn from a fixed derandomized stream (the profile
 loaded in ``conftest.py``), so every run checks the same sets.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -26,7 +28,12 @@ from protoseq import (
 from protoseq import reference, simulator
 from protoseq.core import at_most_mask, count_planes, exact_count_mask
 
-from helpers import first_difference_si, first_difference_ti
+from helpers import (
+    first_difference_si,
+    first_difference_ti,
+    strip_parse_oracle,
+    strip_sequence_oracle,
+)
 
 
 @st.composite
@@ -153,3 +160,68 @@ def test_protocol_counts_match_reference_throughput_at_drawn_shifts(case):
 @given(mask_lists())
 def test_format_then_parse_returns_the_set(trial):
     assert parse_sequence_set(format_sequence_set(trial)) == trial
+
+
+#: Digits, characters ``int(text, 2)`` would take or skip, comment marks,
+#: ASCII and Unicode whitespace (some of them line breaks), and Unicode
+#: digits 1 and 0 that are not '1' and '0'.
+TEXT_ALPHABET = "01_+-bx# \t\r\v\f\n\x85\u00a0\u2028\u3000\uff11\u0660"
+LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x85", "\u2028")
+
+
+@st.composite
+def near_binary(draw, size):
+    """A 0/1 string of ``size`` characters with at most one character of
+    ``TEXT_ALPHABET`` put in, anywhere."""
+    text = draw(st.text("01", min_size=size, max_size=size))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(TEXT_ALPHABET)) + text[i:]
+    return text
+
+
+@st.composite
+def schedule_texts(draw):
+    """Texts of schedule-like lines: 0/1 rows of one or more lengths, some
+    with one stray character, noise, comments and padding, split by any
+    line break."""
+    L = draw(st.integers(1, 6))
+    pad = st.text(" \t\u00a0\u3000", max_size=2)
+    line = st.one_of(
+        st.tuples(pad, near_binary(L), pad).map("".join),
+        st.text("01", max_size=7),
+        st.text(TEXT_ALPHABET, max_size=7),
+        st.just("# note 1x"),
+    )
+    lines = draw(st.lists(line, max_size=5))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    return "".join(a + b for a, b in zip(lines, breaks))
+
+
+def _parsed_or_none(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+@given(st.one_of(schedule_texts(), st.text(TEXT_ALPHABET, max_size=30)))
+def test_parse_accepts_exactly_what_the_strip_validator_accepted(text):
+    assert _parsed_or_none(parse_sequence_set, text) == strip_parse_oracle(text)
+
+
+@given(st.one_of(st.integers(0, 8).flatmap(near_binary), st.text(TEXT_ALPHABET, max_size=12)))
+def test_from_string_accepts_exactly_what_the_strip_validator_accepted(text):
+    parsed = _parsed_or_none(BinarySequence.from_string, text)
+    assert parsed == strip_sequence_oracle(text)
+
+
+def test_validators_agree_on_every_short_text():
+    for size in range(4):
+        for chars in itertools.product(TEXT_ALPHABET, repeat=size):
+            text = "".join(chars)
+            parsed = _parsed_or_none(BinarySequence.from_string, text)
+            assert parsed == strip_sequence_oracle(text), text
+            parsed = _parsed_or_none(parse_sequence_set, text)
+            assert parsed == strip_parse_oracle(text), text
