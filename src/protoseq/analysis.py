@@ -27,6 +27,7 @@ interpreter.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -546,7 +547,8 @@ def verify_witness(sset: SequenceSet, verdict: PropertyVerdict) -> bool:
     and only the two compared values are recomputed: for SI and pairwise
     SI the tuple's correlation (the AND of its rotated masks) at each
     shift vector, for TI the named user's success count among all K
-    rotated masks, as a fraction of the period.
+    rotated masks, compared with a stored throughput as a fraction of
+    the period.
 
     Raises ``ValueError`` on an unknown property, on shift vectors of the
     wrong length, on a TI capability outside 1 <= gamma < K, and on users
@@ -569,6 +571,8 @@ def verify_witness(sset: SequenceSet, verdict: PropertyVerdict) -> bool:
                 acc &= rotate_mask(mask, tau, L)
             return acc.bit_count()
 
+        equals = operator.eq
+
     elif verdict.prop == "TI":
         gamma = verdict.gamma
         if gamma is None:
@@ -579,16 +583,24 @@ def verify_witness(sset: SequenceSet, verdict: PropertyVerdict) -> bool:
             raise ValueError(f"a TI witness names exactly one user: {users}")
         i = users[0] - 1
 
-        def value(shifts: ShiftsLike) -> Fraction:
+        def value(shifts: ShiftsLike) -> int:
             taus = as_shifts(shifts, L, K)
             rotated = [rotate_mask(mask, tau, L) for mask, tau in zip(masks, taus)]
-            return Fraction(success_counts(rotated, gamma, L)[i], L)
+            ok = at_most_mask(count_planes(rotated), gamma, L)
+            return (rotated[i] & ok).bit_count()
+
+        def equals(count: int, stored: object) -> bool:
+            # the throughput is count / L: a stored Fraction compares by
+            # cross multiplication, any other type as it compares with one
+            if type(stored) is Fraction:
+                return stored.numerator * L == count * stored.denominator
+            return Fraction(count, L) == stored
 
     else:
         raise ValueError(f"unknown property {verdict.prop!r}")
     va = value(w.shifts_a)
     vb = value(w.shifts_b)
-    return va == w.value_a and vb == w.value_b and va != vb
+    return equals(va, w.value_a) and equals(vb, w.value_b) and va != vb
 
 
 # ---------------------------------------------------------------------------

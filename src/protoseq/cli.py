@@ -196,9 +196,12 @@ def _cmd_optimal_f(args) -> int:
 
 
 def _parse_range(text: str) -> range:
+    """``K`` or ``A..B`` (both ends included); an empty range is refused."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = (int(v) for v in text.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"empty range {text!r}: {lo} > {hi}")
+        return range(lo, hi + 1)
     v = int(text)
     return range(v, v + 1)
 
@@ -405,7 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimal_f)
 
     p = sub.add_parser("curve", help="symmetric throughput table as CSV")
-    p.add_argument("--users", required=True, help="K or A..B range")
+    p.add_argument("--users", required=True,
+                   help="K or an A..B range with A <= B (both ends included)")
     p.add_argument("--gamma", required=True, help="comma-separated list")
     p.add_argument("--f", required=True, help="comma-separated duty factors")
     p.add_argument("--out", default=None)

@@ -39,11 +39,15 @@ def as_duty_factors(values: Iterable) -> tuple[Fraction, ...]:
     """Normalize duty factors to Fractions in [0, 1], lowest terms.
 
     Accepts Fractions, ints, strings like "2/3", floats with exact binary
-    values, or (num, den) pairs.  Inputs such as 2/4 reduce to 1/2.
+    values, or (num, den) pairs.  Inputs such as 2/4 reduce to 1/2; a
+    zero denominator raises ``ValueError``, as any other invalid input.
     """
     out = []
     for v in values:
-        f = Fraction(*v) if isinstance(v, tuple) else Fraction(v)
+        try:
+            f = Fraction(*v) if isinstance(v, tuple) else Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"duty factor {v!r} has a zero denominator") from None
         if not 0 <= f <= 1:
             raise ValueError(f"duty factor {f} outside [0, 1]")
         out.append(f)

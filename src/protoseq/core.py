@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Sequence, Union
 
 #: Exact ratio type used for duty factors and throughputs.
@@ -340,14 +341,16 @@ class ThetaProfile:
 
 def validate_users(users: Sequence[int], size: int) -> tuple[int, ...]:
     """Check a 1-based, strictly increasing user tuple against set size K."""
-    t = tuple(int(u) for u in users)
+    t = tuple(map(int, users))
+    # a sorted tuple of distinct users in 1..K passes in one check; only
+    # an invalid one pays for the branches that name its fault
+    if t and 1 <= t[0] and t[-1] <= size and all(map(lt, t, t[1:])):
+        return t
     if not t:
         raise ValueError("user tuple must be non-empty")
     if any(not 1 <= u <= size for u in t):
         raise ValueError(f"user indices must lie in [1, {size}]: {t}")
-    if any(a >= b for a, b in zip(t, t[1:])):
-        raise ValueError(f"user indices must be strictly increasing: {t}")
-    return t
+    raise ValueError(f"user indices must be strictly increasing: {t}")
 
 
 def validate_gamma(gamma: int, size: int) -> None:
@@ -363,7 +366,7 @@ def as_shifts(shifts: ShiftsLike, period: int, expected: int) -> tuple[int, ...]
             raise ValueError("shift assignment period does not match the set")
         values = shifts.shifts
     else:
-        values = tuple(int(s) % period for s in shifts)
+        values = tuple([int(s) % period for s in shifts])
     if len(values) != expected:
         raise ValueError(f"expected {expected} shifts, got {len(values)}")
     return values

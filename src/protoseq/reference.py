@@ -1,12 +1,12 @@
 """Slot-by-slot reference implementations of the counting primitives.
 
-Everything here walks slot indices directly and keeps no bitmask state.
-It is intentionally slow and obvious; the test suite runs it against the
-bit-parallel layer in `protoseq.core` and against the session simulator
-on random instances.  It imports nothing from the package but the shared
-types in `protoseq.core`, so it never leans on the code it checks; the
-packet header that its receive chain builds is defined here for that
-reason.
+Everything here walks the slots one by one, reading each user's row of
+0/1 entries, and keeps no bitmask state.  It is intentionally slow and
+obvious; the test suite runs it against the bit-parallel layer in
+`protoseq.core` and against the session simulator on random instances.
+It imports nothing from the package but the shared types in
+`protoseq.core`, so it never leans on the code it checks; the packet
+header that its receive chain builds is defined here for that reason.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ class SessionPacket:
     user_id: int
     period_parity: int
     payload_index: int
+
+
+def _rotated(bits: tuple[int, ...], tau: int) -> tuple[int, ...]:
+    """The row a user sends under shift tau (in [0, L)): slot t holds bit
+    (t + tau) mod L."""
+    return bits[tau:] + bits[:tau]
 
 
 def count_config(sset: SequenceSet, shifts: ShiftsLike, pattern: Sequence[int]) -> int:
@@ -48,13 +54,11 @@ def hamming_cross_correlation(
     sset: SequenceSet, users: Sequence[int], shifts: ShiftsLike
 ) -> int:
     users = validate_users(users, sset.size)
-    L = sset.period
-    taus = as_shifts(shifts, L, len(users))
+    taus = as_shifts(shifts, sset.period, len(users))
+    rows = [_rotated(sset.sequences[u - 1].bits, tau) for u, tau in zip(users, taus)]
     total = 0
-    for t in range(L):
-        if all(
-            sset.sequences[u - 1].bits[(t + tau) % L] for u, tau in zip(users, taus)
-        ):
+    for fires in zip(*rows):
+        if all(fires):
             total += 1
     return total
 
@@ -82,9 +86,9 @@ def throughput_at(
     if not 1 <= gamma < K:
         raise ValueError("gamma must satisfy 1 <= gamma < K")
     taus = as_shifts(shifts, L, K)
+    rows = [_rotated(seq.bits, tau) for seq, tau in zip(sset.sequences, taus)]
     good = [0] * K
-    for t in range(L):
-        fires = [seq.bits[(t + tau) % L] for seq, tau in zip(sset.sequences, taus)]
+    for fires in zip(*rows):
         total = sum(fires)
         if total <= gamma:
             for i, f in enumerate(fires):

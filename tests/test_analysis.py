@@ -170,6 +170,67 @@ def test_verify_witness_rejects_malformed_ti_users(users):
         verify_witness(ALIGNED_PAIR, dataclasses.replace(verdict, witness=witness))
 
 
+@pytest.mark.parametrize("prop, gamma, changes, message", [
+    ("TI", 1, {"users": (1, 2)}, "a TI witness names exactly one user: (1, 2)"),
+    ("TI", 1, {"users": ()}, "user tuple must be non-empty"),
+    ("TI", 1, {"users": (3,)}, "user indices must lie in [1, 2]: (3,)"),
+    ("TI", 2, {"users": (1,)}, "gamma must satisfy 1 <= gamma < K=2"),
+    ("TI", 1, {"users": (1,), "shifts_a": (0,)},
+     "expected 2 shifts, got 1"),
+    ("TI", 1, {"users": (2,), "shifts_b": (0, 0, 1)},
+     "expected 2 shifts, got 3"),
+    ("SI", None, {"users": (2, 1)}, "user indices must be strictly increasing: (2, 1)"),
+    ("SI", None, {"shifts_b": (0,)}, "expected 2 shifts, got 1"),
+    ("PAIRWISE_SI", None, {"users": (0, 1)}, "user indices must lie in [1, 2]: (0, 1)"),
+    ("XI", None, {}, "unknown property 'XI'"),
+])
+def test_verify_witness_messages(prop, gamma, changes, message):
+    witness = dataclasses.replace(Witness((1, 2), (0, 0), (0, 1), 1, 0), **changes)
+    verdict = PropertyVerdict(prop, False, witness, 1, gamma)
+    with pytest.raises(ValueError) as info:
+        verify_witness(ALIGNED_PAIR, verdict)
+    assert str(info.value) == message
+
+
+def stored_forms(count, L):
+    """A TI value as verdicts might store it: exact and off by one count,
+    as a Fraction, a float and (where whole or nearly) an int."""
+    forms = []
+    for c in (count - 1, count, count + 1):
+        forms += [Fraction(c, L), c / L]
+        if c % L == 0:
+            forms.append(c // L)
+    return forms + [count // L + 1]
+
+
+@pytest.mark.parametrize("rows, gamma", [
+    (("10", "10"), 1),
+    (("110", "100", "010"), 1),
+    (("110", "100", "010"), 2),
+    (("1100", "1010", "0111"), 2),
+    (("111", "100", "010"), 2),
+])
+def test_verify_witness_compares_stored_ti_values_as_fractions(rows, gamma):
+    # whatever type a stored value has, the re-check answers as
+    # ``value == Fraction(count, L)`` does
+    trial = sset(*rows)
+    L = trial.period
+    verdict = is_ti(trial, gamma)
+    assert not verdict.holds
+    w = verdict.witness
+    i = w.users[0] - 1
+    ca, cb = (reference.throughput_at(trial, s, gamma)[i] * L
+              for s in (w.shifts_a, w.shifts_b))
+    answers = set()
+    for va, vb in itertools.product(stored_forms(ca, L), stored_forms(cb, L)):
+        forged = dataclasses.replace(
+            verdict, witness=dataclasses.replace(w, value_a=va, value_b=vb))
+        expected = va == Fraction(ca, L) and vb == Fraction(cb, L) and ca != cb
+        assert verify_witness(trial, forged) is expected, (va, vb)
+        answers.add(expected)
+    assert answers == {True, False}
+
+
 def test_is_ti_with_silent_user_skips_pairwise_cross_check():
     # a silent user is invariant for free, so the whole set can be TI
     # while some pair is not shift-invariant; the pairwise implication

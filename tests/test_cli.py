@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -265,6 +266,44 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "verify", "--property", "si", "/nonexistent")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--duty", "1/0"),
+    ("bound", "--duty", "1/2,1/0"),
+    ("throughput", "--duty", "1/0", "--gamma", "1"),
+    ("curve", "--users", "3", "--gamma", "1", "--f", "1/0"),
+    ("curve", "--users", "3", "--gamma", "1", "--f", "0/0"),
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: duty factor '") and "zero denominator" in err
+
+
+def test_empty_user_range_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "curve", "--users", "5..2", "--gamma", "1",
+                             "--f", "1/2")
+    assert (code, out) == (2, "")
+    assert err == "error: empty range '5..2': 5 > 2\n"
+    code, out, _ = run_cli(capsys, "curve", "--users", "2..2", "--gamma", "1",
+                           "--f", "1/2")
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_python_m_protoseq_runs_the_command_line(capsys):
+    argv = ["throughput", "--duty", "2/3,1/3,1/3", "--gamma", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "protoseq", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    done = subprocess.run([sys.executable, "-m", "protoseq", "construct", "--duty", "1/0"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
 
 
 def test_round_trip_verdicts_match_in_memory(capsys, tmp_path):

@@ -19,10 +19,12 @@ from protoseq import (
 )
 from protoseq import reference
 from protoseq.core import (
+    as_shifts,
     at_most_mask,
     count_planes,
     exact_count_mask,
     rotate_mask,
+    validate_users,
 )
 
 from helpers import random_set
@@ -294,6 +296,55 @@ def test_sequence_set_requires_common_period():
         SequenceSet((seq("10"), seq("100")))
     with pytest.raises(ValueError):
         SequenceSet(())
+
+
+@pytest.mark.parametrize("users, message", [
+    ((), "user tuple must be non-empty"),
+    ([], "user tuple must be non-empty"),
+    ((0, 2), "user indices must lie in [1, 3]: (0, 2)"),
+    ((1, 4), "user indices must lie in [1, 3]: (1, 4)"),
+    ((2, 5, 1), "user indices must lie in [1, 3]: (2, 5, 1)"),
+    ((2, 1), "user indices must be strictly increasing: (2, 1)"),
+    ((1, 1), "user indices must be strictly increasing: (1, 1)"),
+    ([1, 3, 2], "user indices must be strictly increasing: (1, 3, 2)"),
+])
+def test_validate_users_messages(users, message):
+    with pytest.raises(ValueError) as info:
+        validate_users(users, 3)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("users, expected", [
+    ((1,), (1,)),
+    ([3], (3,)),
+    ((1, 2, 3), (1, 2, 3)),
+    ([1, 3], (1, 3)),
+    (iter((2, 3)), (2, 3)),
+    (("1", 2.0), (1, 2)),
+])
+def test_validate_users_returns_an_int_tuple(users, expected):
+    t = validate_users(users, 3)
+    assert t == expected and type(t) is tuple
+    assert all(type(u) is int for u in t)
+
+
+@pytest.mark.parametrize("shifts, period, expected, message", [
+    ((0, 1, 2), 4, 2, "expected 2 shifts, got 3"),
+    ((), 4, 1, "expected 1 shifts, got 0"),
+    (ShiftAssignment((0, 1), period=3), 4, 2,
+     "shift assignment period does not match the set"),
+    (ShiftAssignment((0, 1), period=4), 4, 3, "expected 3 shifts, got 2"),
+])
+def test_as_shifts_messages(shifts, period, expected, message):
+    with pytest.raises(ValueError) as info:
+        as_shifts(shifts, period, expected)
+    assert str(info.value) == message
+
+
+def test_as_shifts_reduces_into_the_period():
+    assert as_shifts((-1, 5, 3, "2"), 3, 4) == (2, 2, 0, 2)
+    assert as_shifts(iter([7]), 4, 1) == (3,)
+    assert as_shifts(ShiftAssignment((-1, 5), period=3), 3, 2) == (2, 2)
 
 
 def test_shift_assignment_normalizes():

@@ -1,7 +1,8 @@
 """Property-based checks of the counting primitives, the block shift
 sweeps, witness re-checks, the protocol Monte-Carlo counts and the text
-format against ``protoseq.reference``, and of the text validators
-against the ``strip``-based ones they replaced.
+format against ``protoseq.reference``, of the text validators against
+the ``strip``-based ones they replaced, and of the invariance verdicts
+under the reversal of one user's row.
 
 The examples are drawn from a fixed derandomized stream (the profile
 loaded in ``conftest.py``), so every run checks the same sets.
@@ -61,6 +62,23 @@ def test_block_sweep_verdicts_match_reference_scans(trial):
     assert is_si(trial) == expected
     expected = first_difference_si(trial, [2], "PAIRWISE_SI", correlation_at)
     assert is_pairwise_si(trial) == expected
+
+
+@given(sequence_sets(), st.data())
+def test_reversing_one_user_keeps_every_verdict(trial, data):
+    # SI and TI read each user's weight and cyclic autocorrelation only,
+    # and a reversed row keeps both while its phases change
+    K = trial.size
+    u = data.draw(st.integers(0, K - 1))
+    rows = list(trial.sequences)
+    rows[u] = BinarySequence(rows[u].bits[::-1])
+    mirrored = SequenceSet(tuple(rows))
+
+    def verdicts(sset):
+        return ([is_si(sset).holds, is_pairwise_si(sset).holds]
+                + [is_ti(sset, gamma).holds for gamma in range(1, K)])
+
+    assert verdicts(mirrored) == verdicts(trial)
 
 
 @st.composite
