@@ -261,15 +261,17 @@ def _cmd_session(args) -> int:
     )
     per_user = []
     for u in range(sset.size):
+        # every judged period has the user's summary values
         outcomes = report.per_user[u]
+        judged = len(outcomes)
         per_user.append(
             {
                 "user": u + 1,
                 "packets_per_period": report.code.packets_per_period[u],
                 "required_per_period": report.code.required_per_period[u],
-                "periods_evaluated": len(outcomes),
-                "decoded": sum(o.success for o in outcomes),
-                "min_survivors": min((o.survived for o in outcomes), default=0),
+                "periods_evaluated": judged,
+                "decoded": judged if outcomes.success else 0,
+                "min_survivors": outcomes.survived if judged else 0,
                 "success_rate": _rational(report.success_rate(u + 1)),
             }
         )

@@ -53,9 +53,9 @@ __all__ = [
 #: Default cap on slot evaluations per verdict, and on the slots a build holds.
 DEFAULT_BUDGET = 10**8
 
-#: Most entries one request may allocate in an array or a list of records:
-#: duty-factor grid steps, Monte-Carlo runs times users, a session's users
-#: times periods, and the subsets that ``bound --full`` lists.
+#: Most entries one request may allocate in an array or a list: duty-factor
+#: grid steps, Monte-Carlo runs times users, and the subsets that
+#: ``bound --full`` lists.
 MAX_ENTRIES = 10**7
 
 

@@ -22,16 +22,21 @@ session's survivors are counted once, at the session's shifts.  A user
 with survivors delivers some in every complete period, and adjacent
 periods alternate parity, so the receiver's parity runs never merge two
 periods and a period decodes exactly when that count meets the threshold.
-The slot-level receive chain, which delivers packets one by one and
-groups them by parity runs, is kept in ``protoseq.reference`` as the
-test oracle.
+So a session keeps one summary per user and builds its period records
+when they are read.  The slot-level receive chain, which delivers
+packets one by one and groups them by parity runs, is kept in
+``protoseq.reference`` as the test oracle.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, repeat
 from math import ceil, log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +60,7 @@ __all__ = [
     "UserStats",
     "SimResult",
     "PeriodOutcome",
+    "PeriodOutcomes",
     "ErasureCodeSpec",
     "SessionReport",
     "run_monte_carlo",
@@ -263,8 +269,7 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
 # session-level decoding
 
 
-@dataclass(frozen=True)
-class PeriodOutcome:
+class PeriodOutcome(NamedTuple):
     """Decode outcome for one complete period of one user."""
 
     user_id: int
@@ -273,6 +278,46 @@ class PeriodOutcome:
     sent: int
     survived: int
     success: bool
+
+
+@dataclass(frozen=True)
+class PeriodOutcomes(Sequence):
+    """One user's judged periods of a session, as a read-only sequence.
+
+    Every judged period of a session has the same survivors, so the
+    user's summary (periods ``first`` up to ``stop``, with their sent,
+    survived and success values) stands for all of them.  Each
+    ``PeriodOutcome`` is built when it is read; slices are tuples of
+    records.  Two summaries are equal when their fields are.
+    """
+
+    user_id: int
+    first: int  # first judged period: 0, or 1 when the user is shifted
+    stop: int  # the session's period count
+    sent: int
+    survived: int
+    success: bool
+
+    def __len__(self) -> int:
+        return self.stop - self.first
+
+    def __getitem__(self, index):
+        periods = range(self.first, self.stop)[index]
+        if isinstance(index, slice):
+            return tuple(map(self._record, periods))
+        return self._record(periods)
+
+    def __iter__(self):
+        first = self.first
+        return map(PeriodOutcome._make, zip(
+            repeat(self.user_id), range(first, self.stop),
+            cycle((first & 1, 1 - (first & 1))), repeat(self.sent),
+            repeat(self.survived), repeat(self.success),
+        ))
+
+    def _record(self, p: int) -> PeriodOutcome:
+        return PeriodOutcome(self.user_id, p, p & 1, self.sent, self.survived,
+                             self.success)
 
 
 @dataclass(frozen=True)
@@ -317,18 +362,17 @@ class SessionReport:
     shifts: tuple[int, ...]
     header_bits: int
     code: ErasureCodeSpec
-    per_user: tuple[tuple[PeriodOutcome, ...], ...]
+    per_user: tuple[PeriodOutcomes, ...]
     receiver_groups_consistent: bool
 
     @property
     def all_decoded(self) -> bool:
-        return all(o.success for outcomes in self.per_user for o in outcomes)
+        return all(o.success or not o for o in self.per_user)
 
     def success_rate(self, user_id: int) -> Fraction:
+        # every judged period of a user decodes, or none does
         outcomes = self.per_user[user_id - 1]
-        if not outcomes:
-            return Fraction(1)
-        return Fraction(sum(o.success for o in outcomes), len(outcomes))
+        return Fraction(int(outcomes.success or not outcomes))
 
 
 def run_session(
@@ -349,19 +393,23 @@ def run_session(
     user's success count at the session's shifts (see the module
     docstring).  Only complete periods inside the horizon are judged.
     Unless ``trust_ti`` is set, the set is first verified to be
-    throughput-invariant at ``gamma``.  A session of more than
-    ``core.MAX_ENTRIES`` period records (K times ``periods``) is refused
-    with ``BudgetExceededError`` before anything is built.
+    throughput-invariant at ``gamma``.
+
+    After that check a session costs O(K * L) for any period count: each
+    user keeps one summary, and ``per_user[u]`` builds its
+    ``PeriodOutcome`` records when they are read.  A period count above
+    ``sys.maxsize`` (2^63 - 1 on 64-bit builds), which no sequence
+    length can hold, is refused with ``BudgetExceededError`` before any
+    work.
     """
     K = sset.size
     L = sset.period
     validate_gamma(gamma, K)
     if periods < 1:
         raise ValueError("periods must be at least 1")
-    if K * periods > MAX_ENTRIES:
+    if periods > sys.maxsize:
         raise BudgetExceededError(
-            f"{periods} periods of {K} users need {K * periods} period "
-            f"records, the limit is {MAX_ENTRIES}"
+            f"{periods} periods exceed the limit of {sys.maxsize}"
         )
     if shifts is None:
         if seed is None:
@@ -386,18 +434,13 @@ def run_session(
     counts = success_counts(
         [rotate_mask(m, tau, L) for m, tau in zip(sset.masks, taus)], gamma, L
     )
-    per_user = []
-    for u in range(K):
-        sent = code.packets_per_period[u]
-        survived = counts[u]
-        success = survived >= code.required_per_period[u]
-        first = 0 if taus[u] == 0 else 1
-        per_user.append(
-            tuple(
-                PeriodOutcome(u + 1, p, p % 2, sent, survived, success)
-                for p in range(first, periods)
-            )
+    per_user = tuple(
+        PeriodOutcomes(u + 1, 0 if tau == 0 else 1, periods, sent, survived,
+                       survived >= required)
+        for u, (tau, sent, survived, required) in enumerate(
+            zip(taus, code.packets_per_period, counts, code.required_per_period)
         )
+    )
 
     return SessionReport(
         gamma=gamma,
@@ -407,6 +450,6 @@ def run_session(
         shifts=taus,
         header_bits=header_bits,
         code=code,
-        per_user=tuple(per_user),
+        per_user=per_user,
         receiver_groups_consistent=True,
     )

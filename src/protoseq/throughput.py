@@ -183,6 +183,40 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     )
 
 
+def _curve_grid(k_values, gammas, duties):
+    """The (K, gamma, f) of every curve row, in table order.
+
+    A user count no larger than every capability gives no row; a range
+    drops those counts by index, so the grid never walks them.
+    """
+    least = min((g for g in gammas if g >= 1), default=None)
+    if least is None:
+        return
+    if isinstance(k_values, range):
+        start, step = k_values.start, k_values.step
+        if step > 0:
+            k_values = k_values[max(0, (least - start) // step + 1):]
+        else:
+            k_values = k_values[:max(0, -((least - start) // -step))]
+    for k in k_values:
+        for g in gammas:
+            if 1 <= g < k:
+                for f in duties:
+                    yield k, g, f
+
+
+def _row_cost(k: int, g: int, f: Fraction) -> int:
+    """Estimated cost of one curve row, in units of about 10 ns.
+
+    The row sums g exact terms, each a rational of about
+    K * bit_length(d) bits for f = n/d.  A term is charged 2000 units
+    of fixed set-up plus the square of its size in 30-bit digits, the
+    cost of the gcds that keep the running sum in lowest terms.
+    """
+    digits = -(-k * f.denominator.bit_length() // 30)
+    return g * (2000 + digits * digits)
+
+
 def throughput_curve(
     k_values: Iterable[int], gammas: Iterable[int], duty_factors: Iterable
 ) -> tuple[CurveRow, ...]:
@@ -190,16 +224,27 @@ def throughput_curve(
 
     System throughput is the per-user value times the user count.
     Combinations with gamma >= K fall outside the model and are omitted.
+    Before the first row the cost of the whole table is estimated (see
+    ``_row_cost``), and a table of more than ``DEFAULT_BUDGET`` units,
+    about a second of exact arithmetic, is refused with
+    ``BudgetExceededError``.
     """
     duties = as_duty_factors(duty_factors)
+    if not isinstance(k_values, range):
+        k_values = tuple(k_values)
+    gammas = tuple(gammas)
+    cost = 0
+    for k, g, f in _curve_grid(k_values, gammas, duties):
+        cost += _row_cost(k, g, f)
+        if cost > DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"the curve's exact sums cost more than the budget of "
+                f"{DEFAULT_BUDGET}"
+            )
     rows = []
-    for k in k_values:
-        for g in gammas:
-            if not 1 <= g < k:
-                continue
-            for f in duties:
-                per_user = symmetric_throughput(f, k, g)
-                rows.append(CurveRow(k, g, f, per_user, k * per_user))
+    for k, g, f in _curve_grid(k_values, gammas, duties):
+        per_user = symmetric_throughput(f, k, g)
+        rows.append(CurveRow(k, g, f, per_user, k * per_user))
     return tuple(rows)
 
 

@@ -14,6 +14,7 @@ from protoseq import (
     count_config,
 )
 from protoseq import simulator
+from protoseq.analysis import success_counts
 from protoseq.core import rotate_mask
 
 
@@ -235,3 +236,28 @@ def random_access_slot_oracle(sset, cfg):
                     good[k] += fires[k]
         counts.append(good)
     return counts
+
+
+def eager_session_records(sset, gamma, periods, shifts, code):
+    """A session's period records as an eager loop builds them.
+
+    One tuple per user of one ``PeriodOutcome`` per judged period: a
+    user at shift zero is judged from period 0, a shifted user from
+    period 1, and every judged period has the survivors counted at the
+    shifts.
+    """
+    L = sset.period
+    counts = success_counts(
+        [rotate_mask(m, tau, L) for m, tau in zip(sset.masks, shifts)], gamma, L
+    )
+    out = []
+    for u in range(sset.size):
+        sent = code.packets_per_period[u]
+        survived = counts[u]
+        success = survived >= code.required_per_period[u]
+        first = 0 if shifts[u] == 0 else 1
+        out.append(tuple(
+            simulator.PeriodOutcome(u + 1, p, p % 2, sent, survived, success)
+            for p in range(first, periods)
+        ))
+    return tuple(out)

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import time
+from datetime import timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from protoseq import (
     analysis,
@@ -340,10 +342,43 @@ def test_construct_over_budget_exits_three(capsys):
     ],
 )
 def test_oversized_runs_and_periods_exit_three(capsys, worked_file, argv):
+    """Runs past the array limit exit 3; a billion-period session costs
+    O(K * L) and finishes, with every judged period counted."""
+    start = time.monotonic()
     code, out, err = run_cli(capsys, *argv, "--gamma", "1", "--seed", "0", worked_file)
+    if argv[0] == "session":
+        assert time.monotonic() - start < 2.0
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["periods"] == 10**9 and payload["all_decoded"] is True
+        for user in payload["per_user"]:
+            assert user["periods_evaluated"] in (10**9, 10**9 - 1)
+            assert user["decoded"] == user["periods_evaluated"]
+            assert user["min_survivors"] == user["required_per_period"]
+        return
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "limit" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--trust-ti",)])
+def test_session_beyond_the_period_limit_exits_three(capsys, worked_file, extra):
+    code, out, err = run_cli(capsys, "session", "--periods", str(10**30), "--gamma",
+                             "1", "--seed", "0", *extra, worked_file)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--users", "1..100000", "--gamma", "1", "--f", "1/2"),
+    ("--users", "4000", "--gamma", "1,2000", "--f", "1/3"),
+])
+def test_curve_over_budget_exits_three(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "curve", *argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "budget" in err
 
 
 def test_random_access_long_horizon_at_fourteen_users_exits_zero(capsys, tmp_path):
@@ -482,3 +517,87 @@ def test_fuzzed_set_files_exit_with_a_documented_code(fuzz_path, data):
             assert json.loads(out.getvalue())["schema"] == 1
         else:
             assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+_NUMBER = st.one_of(
+    st.integers(-2, 60),
+    st.integers(-10**40, 10**40),
+    st.sampled_from([10**30, 2**63 - 1, 2**63]),
+).map(str)
+_TEXT = st.one_of(
+    _NUMBER,
+    st.sampled_from(["", " ", "0x10", "1e3", "1_000", "\u0663", "\uff11\uff12",
+                     "\u00e9", "\u221e", "-", "1..", "..2", "1..2..3"]),
+    st.text(max_size=4),
+)
+_FRACTION = st.one_of(
+    st.tuples(_NUMBER, st.one_of(st.just("0"), _NUMBER)).map("/".join),
+    _TEXT,
+)
+
+
+_SMALL = st.integers(1, 60).map(str)
+
+
+@st.composite
+def session_argv(draw):
+    """``session`` argv whose period count is mostly a number (small,
+    negative or huge) and otherwise malformed text."""
+    gamma = st.sampled_from(["1", "2", "0", "3", "-1", "\u0661", "2.0", "\u00e9"])
+    argv = ["session", "--gamma", draw(gamma),
+            "--periods", draw(st.one_of(_SMALL, _NUMBER, _TEXT)),
+            "--seed", draw(st.sampled_from(["0", "7", "-1"]))]
+    if draw(st.booleans()):
+        argv.append("--trust-ti")
+    return argv
+
+
+@st.composite
+def curve_argv(draw):
+    """``curve`` argv whose values are mostly well-formed numbers (small,
+    negative or huge) and otherwise malformed text."""
+    users = st.one_of(_SMALL, st.tuples(_SMALL, _SMALL).map("..".join), _NUMBER,
+                      st.tuples(_NUMBER, _NUMBER).map("..".join), _TEXT)
+    gammas = st.one_of(st.lists(_SMALL, min_size=1, max_size=3),
+                       st.lists(st.one_of(_NUMBER, _TEXT), min_size=1, max_size=3))
+    duties = st.one_of(st.lists(st.sampled_from(["1/2", "1/3", "2/7"]), min_size=1,
+                                max_size=3),
+                       st.lists(_FRACTION, min_size=1, max_size=3))
+    return ["curve", "--users", draw(users), "--gamma", ",".join(draw(gammas)),
+            "--f", ",".join(draw(duties))]
+
+
+@pytest.mark.parametrize("argvs", [session_argv(), curve_argv()],
+                         ids=["session", "curve"])
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(data=st.data())
+def test_fuzzed_session_and_curve_argv_exit_with_a_documented_code(worked_path, argvs,
+                                                                  data):
+    """Every generated argv ends in exit 0, 1, 2 or 3; argparse's own
+    usage errors leave through ``SystemExit(2)``, as on the command line."""
+    argv = data.draw(argvs)
+    if argv[0] == "session":
+        argv.append(str(worked_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            assert out.getvalue() == "" and "usage:" in err.getvalue()
+            return
+    assert code in (0, 1, 2, 3), argv
+    if not out.getvalue():
+        assert code != 0 and err.getvalue().startswith("error: "), argv
+    elif argv[0] == "curve":
+        assert code == 0
+        assert out.getvalue().startswith("users,gamma,duty,per_user,system\n")
+    else:
+        assert code in (0, 1) and json.loads(out.getvalue())["schema"] == 1
+
+
+@pytest.fixture(scope="module")
+def worked_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("worked") / "worked.psq"
+    path.write_text("".join(r + "\n" for r in WORKED_ROWS))
+    return path

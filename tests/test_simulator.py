@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from protoseq import (
+    BinarySequence,
     BudgetExceededError,
     ErasureCodeSpec,
+    PeriodOutcome,
     SequenceSet,
     SessionConfigError,
     SimConfig,
@@ -19,7 +22,12 @@ from protoseq import reference, simulator
 from protoseq.analysis import success_counts
 from protoseq.core import rotate_mask
 
-from helpers import random_access_slot_oracle, random_set, subset_sum_oracle
+from helpers import (
+    eager_session_records,
+    random_access_slot_oracle,
+    random_set,
+    subset_sum_oracle,
+)
 
 NOT_TI = SequenceSet.from_strings(["110", "101"])
 
@@ -392,10 +400,111 @@ def test_session_scales_to_long_periods_and_many_periods():
             assert o.survived == report.code.required_per_period[u]
 
 
-def test_session_refuses_oversized_period_records(example_set, monkeypatch):
+def test_session_of_a_billion_periods_matches_the_summary(example_set):
+    periods = 10**9
+    report = run_session(example_set, gamma=1, periods=periods, seed=0, trust_ti=True)
+    assert report.all_decoded
+    for u, outcomes in enumerate(report.per_user):
+        first = 0 if report.shifts[u] == 0 else 1
+        assert len(outcomes) == periods - first
+        assert (outcomes.first, outcomes.stop) == (first, periods)
+        assert outcomes.survived == report.code.required_per_period[u]
+        for p in (first, first + 1, periods // 2, periods - 1):
+            o = outcomes[p - first]
+            assert o == (u + 1, p, p % 2, outcomes.sent, outcomes.survived,
+                         outcomes.success)
+        assert outcomes[-1].period_index == periods - 1
+        assert report.success_rate(u + 1) == 1
+
+
+def test_session_refuses_period_counts_beyond_a_sequence_length(example_set):
+    top = 2**63 - 1
     with pytest.raises(BudgetExceededError):
-        run_session(example_set, gamma=1, periods=10**9, seed=0, trust_ti=True)
-    monkeypatch.setattr(simulator, "MAX_ENTRIES", 30)  # K = 3
-    run_session(example_set, gamma=1, periods=10, seed=0, trust_ti=True)
+        run_session(example_set, gamma=1, periods=top + 1, seed=0, trust_ti=True)
     with pytest.raises(BudgetExceededError):
-        run_session(example_set, gamma=1, periods=11, seed=0, trust_ti=True)
+        run_session(example_set, gamma=1, periods=10**30, seed=0)
+    report = run_session(example_set, gamma=1, periods=top, seed=0, trust_ti=True)
+    assert {len(o) for o in report.per_user} <= {top, top - 1}
+    assert all(o[-1].period_index == top - 1 for o in report.per_user)
+
+
+@st.composite
+def session_cases(draw):
+    """A random set (K 2-5, L <= 12) with a capability whose closed form is
+    integral, a period count in 1..50 and shifts, zero or not."""
+    K = draw(st.integers(2, 5))
+    L = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(0, (1 << L) - 1), min_size=K, max_size=K))
+    sset = SequenceSet(tuple(BinarySequence.from_mask(m, L) for m in masks))
+    codes = {}
+    for gamma in range(1, K):
+        try:
+            codes[gamma] = ErasureCodeSpec.from_set(sset, gamma)
+        except SessionConfigError:
+            pass  # the closed form is not integral: no session exists
+    assume(codes)
+    gamma = draw(st.sampled_from(sorted(codes)))
+    periods = draw(st.integers(1, 50))
+    shifts = tuple(draw(st.lists(st.one_of(st.just(0), st.integers(0, L - 1)),
+                                 min_size=K, max_size=K)))
+    return sset, gamma, periods, shifts, codes[gamma]
+
+
+@given(session_cases(), st.data())
+def test_lazy_period_records_equal_the_eager_records(case, data):
+    sset, gamma, periods, shifts, code = case
+    report = run_session(sset, gamma, periods, shifts=shifts, trust_ti=True)
+    eager = eager_session_records(sset, gamma, periods, shifts, code)
+    for outcomes, records in zip(report.per_user, eager, strict=True):
+        assert len(outcomes) == len(records)
+        assert list(outcomes) == list(records)
+        assert tuple(outcomes[i] for i in range(len(records))) == records
+        assert tuple(outcomes[-i] for i in range(1, len(records) + 1)) == \
+            tuple(records[-i] for i in range(1, len(records) + 1))
+        for i in (len(records), -len(records) - 1):
+            with pytest.raises(IndexError):
+                outcomes[i]
+        start = data.draw(st.integers(-60, 60))
+        stop = data.draw(st.integers(-60, 60))
+        step = data.draw(st.sampled_from([None, 1, 2, 3, -1, -2]))
+        assert outcomes[start:stop:step] == records[start:stop:step]
+        assert outcomes[:] == records
+        assert all(type(o) is PeriodOutcome for o in outcomes)
+    assert report.all_decoded == all(o.success for r in eager for o in r)
+    for u, records in enumerate(eager, start=1):
+        expected = (Fraction(sum(o.success for o in records), len(records))
+                    if records else Fraction(1))
+        assert report.success_rate(u) == expected
+
+
+def test_session_with_one_period_and_a_shifted_user_judges_nothing(example_set):
+    report = run_session(example_set, gamma=2, periods=1, shifts=(0, 4, 0),
+                         trust_ti=True)
+    empty = report.per_user[1]
+    assert len(empty) == 0 and list(empty) == [] and empty[:] == ()
+    with pytest.raises(IndexError):
+        empty[0]
+    assert len(report.per_user[0]) == 1
+    assert report.success_rate(2) == 1 and report.all_decoded
+    # user 3 fails at these shifts, but with one period it has nothing judged
+    failing = SequenceSet.from_strings(["1100", "1100", "1111"])
+    one = _assert_matches_receive_chain(failing, 1, 1, (0, 2, 1))
+    assert one.all_decoded and one.success_rate(3) == 1
+    assert not one.per_user[2].success
+    two = _assert_matches_receive_chain(failing, 1, 2, (0, 2, 1))
+    assert not two.all_decoded and two.success_rate(3) == 0
+
+
+def test_session_reports_compare_by_summary_and_records_keep_their_repr(example_set):
+    a = run_session(example_set, gamma=2, periods=5, seed=42)
+    b = run_session(example_set, gamma=2, periods=5, seed=42)
+    c = run_session(example_set, gamma=2, periods=6, seed=42)
+    assert a == b and a != c
+    assert hash(a.per_user[0]) == hash(b.per_user[0])
+    record = PeriodOutcome(2, 3, 1, 9, 7, True)
+    assert repr(record) == ("PeriodOutcome(user_id=2, period_index=3, parity=1, "
+                            "sent=9, survived=7, success=True)")
+    with pytest.raises(AttributeError):
+        record.survived = 8
+    with pytest.raises(AttributeError):
+        a.per_user[0].survived = 8

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from protoseq import throughput
 from protoseq import (
     BudgetExceededError,
     consistency_check,
@@ -158,3 +160,47 @@ def test_curve_rows_and_csv():
 def test_curve_zero_duty_row():
     rows = throughput_curve([4], [1], ["0/1"])
     assert rows[0].per_user == 0 and rows[0].system == 0
+
+
+@pytest.mark.parametrize("k_values, gammas, duties", [
+    (range(1, 100001), [1], ["1/2"]),
+    ([4000], [1, 2000], ["1/3"]),
+    (range(1, 10**30), [10**29], ["1/2"]),
+    (range(10**30, 1, -1), [1], ["1/2"]),
+])
+def test_curve_refuses_tables_over_its_budget_before_the_first_row(
+    monkeypatch, k_values, gammas, duties
+):
+    def no_rows(*args):
+        raise AssertionError("a row was computed before the budget check")
+
+    monkeypatch.setattr(throughput, "symmetric_throughput", no_rows)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        throughput_curve(k_values, gammas, duties)
+    assert time.monotonic() - start < 1.0
+
+
+def test_curve_budget_is_the_sum_of_its_row_costs(monkeypatch):
+    k_values, gammas, duties = range(10, 51, 10), [1, 5, 10], ["1/10", "1/20"]
+    cost = sum(throughput._row_cost(k, g, Fraction(f))
+               for k in k_values for g in gammas if g < k for f in duties)
+    monkeypatch.setattr(throughput, "DEFAULT_BUDGET", cost)
+    assert len(throughput_curve(k_values, gammas, duties)) == 28
+    monkeypatch.setattr(throughput, "DEFAULT_BUDGET", cost - 1)
+    with pytest.raises(BudgetExceededError):
+        throughput_curve(k_values, gammas, duties)
+
+
+def test_curve_skips_user_counts_below_every_capability():
+    # counts up to the least capability give no row, so huge ranges of them
+    # are never walked
+    assert throughput_curve(range(1, 10**30), [0, -3], ["1/2"]) == ()
+    assert throughput_curve(range(1, 10**30, 7), [10**40], ["1/2"]) == ()
+    for k_values in (range(1, 40), range(39, 0, -1), range(2, 40, 3),
+                     range(38, 0, -4), range(5, 5)):
+        for gammas in ([1], [3, 1], [7, 40], [20]):
+            assert throughput_curve(k_values, gammas, ["1/3"]) == \
+                throughput_curve(list(k_values), gammas, ["1/3"])
+    assert throughput_curve(iter([3, 4]), iter([1, 2]), ["1/2"]) == \
+        throughput_curve([3, 4], [1, 2], ["1/2"])
