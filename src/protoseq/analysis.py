@@ -21,7 +21,9 @@ mask with the last member's spread mask read backwards leaves the count
 at each shift in its own field.  A block of L shift classes then costs
 one product of two L·w-bit integers per user (Karatsuba time in
 CPython, about (L·w)^1.6), instead of L popcounts run one by one in the
-interpreter.
+interpreter.  Every sweep yields its blocks in one shape, one locator
+(``_first_difference``) finds the first class that differs from the
+all-zero class, and no other module reads the lane format.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -197,20 +199,6 @@ def throughput_at(
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _lane_width(period: int) -> int:
-    """Bits per lane: whole bytes, enough to hold any count up to ``period``."""
-    return 8 * -(-period.bit_length() // 8)
-
-
-def _field_sum(packed: int, width: int) -> int:
-    """Sum of the ``width``-bit fields of a packed column, by byte sums."""
-    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-    if width == 8:
-        return sum(data)
-    k = width // 8
-    return sum(sum(data[j::k]) << (8 * j) for j in range(k))
-
-
 class _Lanes:
     """Byte-aligned lane layout of one period for the shift sweeps.
 
@@ -229,7 +217,8 @@ class _Lanes:
 
     def __init__(self, period: int) -> None:
         self.period = period
-        self.width = w = _lane_width(period)
+        # whole bytes, enough to hold any count up to the period
+        self.width = w = 8 * -(-period.bit_length() // 8)
         self.bits = w * period  # the size of a spread mask
         self.full = (1 << self.bits) - 1
         self.top = self.bits - w  # offset of field L - 1, the last member's shift 0
@@ -273,9 +262,6 @@ class _Lanes:
         product = spread * last
         return (product & self.full) + (product >> self.bits)
 
-    def field(self, packed: int, f: int) -> int:
-        return (packed >> (self.width * f)) & ((1 << self.width) - 1)
-
     def fields(self, packed: int) -> Sequence[int]:
         """All ``period`` fields of a packed column, field 0 first."""
         data = packed.to_bytes(self.bits // 8, "little")
@@ -289,37 +275,46 @@ class _Lanes:
 _lanes = lru_cache(maxsize=64)(_Lanes)
 
 
+#: One block of a sweep: the shifts of the middle members, and packed
+#: columns whose field L - 1 - t holds a count at the last member's shift t.
+_Block = tuple[tuple[int, ...], list[int]]
+
+
+def _check_budget(need: str, cost: int, budget: int) -> None:
+    """Refuse a sweep of more than ``budget`` slot evaluations."""
+    if cost > budget:
+        raise BudgetExceededError(f"{need} {cost} slot evaluations, budget is {budget}")
+
+
 def _correlations(
     lanes: _Lanes, first: int, middle_tables: Sequence[Sequence[int]], last: int
-) -> Iterator[int]:
+) -> Iterator[_Block]:
     """Correlations of a tuple at every shift class, first shift pinned to zero.
 
     ``first`` is the spread mask of the first member, ``middle_tables``
     the spread rotations of the middle members and ``last`` the
-    ``spread_reversed`` mask of the last member.  One packed column is
-    yielded per shift of the middle members, in lexicographic order of
-    those shifts, as ``itertools.product(range(L), repeat=len(middle_tables))``
-    lists them; its field L - 1 - t is the correlation with the last
-    member at shift t.  So the top field of the first column is the
-    all-zero class.
+    ``spread_reversed`` mask of the last member.  One block
+    ``(middle, [column])`` is yielded per shift ``middle`` of the middle
+    members, in lexicographic order; field L - 1 - t of the column is the
+    correlation with the last member at shift t.  So the top field of the
+    first column is the all-zero class.
     """
-    for middle in itertools.product(*middle_tables):
+    shifts = itertools.product(range(lanes.period), repeat=len(middle_tables))
+    for middle, rotated in zip(shifts, itertools.product(*middle_tables)):
         acc = first
-        for m in middle:
+        for m in rotated:
             acc &= m
-        yield lanes.column(acc, last)
+        yield middle, [lanes.column(acc, last)]
 
 
-def _ti_sweep(
-    sset: SequenceSet, gamma: int, budget: int
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
     """Per-user success counts at every shift class, first shift pinned to zero.
 
     Yields one block ``(outer, columns)`` per shift ``outer`` of users
     2..K-1, in lexicographic order; ``columns[i]`` packs user i+1's
     success counts with the last user at every shift in the fields of
     ``_lanes(L)``, shift t in field L - 1 - t.  The capability and the
-    budget are checked before the first class is evaluated.
+    budget are checked on the call, before any layout is built.
 
     The first K - 1 users are counted once per block: a slot where at
     most gamma - 1 of them fire (``room``) lets every packet through
@@ -331,19 +326,15 @@ def _ti_sweep(
     K = sset.size
     L = sset.period
     validate_gamma(gamma, K)
-    cost = L ** (K - 1) * K * L
-    if cost > budget:
-        raise BudgetExceededError(
-            f"TI verification needs {cost} slot evaluations, budget is {budget}"
-        )
+    _check_budget("TI verification needs", L ** (K - 1) * K * L, budget)
     lanes = _lanes(L)
     ones = lanes.ones
     column = lanes.column
     pinned = lanes.spread(sset.masks[0])
     tables = [lanes.rotations(lanes.spread(m)) for m in sset.masks[1:-1]]
     last = lanes.spread_reversed(sset.masks[-1])
-    shifts = itertools.product(range(L), repeat=K - 2)
-    for outer, middle in zip(shifts, itertools.product(*tables)):
+
+    def block(outer: tuple[int, ...], middle: tuple[int, ...]) -> _Block:
         head = (pinned, *middle)
         planes = count_planes(head)
         room = at_most_mask(planes, gamma - 1, lanes.bits) & ones
@@ -356,7 +347,52 @@ def _ti_sweep(
             base = (m & room).bit_count() + e.bit_count()
             columns.append(base * ones - column(e, last))
         columns.append(column(room, last))
-        yield outer, columns
+        return outer, columns
+
+    shifts = itertools.product(range(L), repeat=K - 2)
+    return map(block, shifts, itertools.product(*tables))
+
+
+def _first_difference(
+    lanes: _Lanes, blocks: Iterable[_Block]
+) -> tuple[int, list[int] | None, tuple[tuple[int, ...], int, int, int] | None]:
+    """Compare every shift class of a sweep with the all-zero class.
+
+    Returns ``(checked, first, difference)``: the number of classes
+    checked, every column's value at the all-zero class (None when there
+    is no block), and None when every class matches it.  Otherwise
+    ``difference`` is ``(middle, i, t, value)``: the first differing
+    class is the block ``middle`` at the last member's shift t, which is
+    the highest differing field; i is the lowest column that differs
+    there, and ``value`` its count.
+    """
+    L = lanes.period
+    w = lanes.width
+    checked = 0
+    first = flat = None
+    for middle, columns in blocks:
+        if flat is None:
+            first = [c >> lanes.top for c in columns]
+            flat = [v * lanes.ones for v in first]
+        if columns != flat:
+            tops = [((c ^ g).bit_length() - 1) // w for c, g in zip(columns, flat)]
+            f = max(tops)
+            i = tops.index(f)
+            value = (columns[i] >> (w * f)) & ((1 << w) - 1)
+            return checked + L - f, first, (middle, i, L - 1 - f, value)
+        checked += L
+    return checked, first, None
+
+
+def _success_totals(sset: SequenceSet, gamma: int, budget: int) -> list[int]:
+    """Each user's success counts summed over every shift class of ``_ti_sweep``."""
+    blocks = _ti_sweep(sset, gamma, budget)
+    fields = _lanes(sset.period).fields
+    totals = [0] * sset.size
+    for _, columns in blocks:
+        for i, column in enumerate(columns):
+            totals[i] += sum(fields(column))
+    return totals
 
 
 class _Memo(dict):
@@ -371,59 +407,37 @@ class _Memo(dict):
         return value
 
 
-def _si_cost(K: int, L: int, sizes: Sequence[int]) -> int:
-    return sum(comb(K, m) * L ** (m - 1) * L for m in sizes)
-
-
 def _constant_correlation_scan(
     sset: SequenceSet, sizes: Sequence[int], prop: str, budget: int
 ) -> PropertyVerdict:
     K = sset.size
     L = sset.period
-    cost = _si_cost(K, L, sizes)
-    if cost > budget:
-        raise BudgetExceededError(
-            f"{prop} verification needs {cost} slot evaluations, budget is {budget}"
-        )
-    if any(size >= 2 for size in sizes):
-        lanes = _lanes(L)
+    cost = sum(comb(K, m) * L ** m for m in sizes)
+    _check_budget(f"{prop} verification needs", cost, budget)
     masks = sset.masks
-    # each user's spread masks are made on first use: most scans of
-    # random sets stop at the first pair
+    # each user's spread masks are made on first use, with the ``lanes``
+    # set below: most scans of random sets stop at the first pair
     spread = _Memo(lambda u: lanes.spread(masks[u - 1]))
     spread_reversed = _Memo(lambda u: lanes.spread_reversed(masks[u - 1]))
     rotations = _Memo(lambda u: lanes.rotations(spread[u]))
     checked = 0
     for m in sizes:
+        if m == 1:
+            # a single schedule's correlation is its ones count at any shift
+            checked += K
+            continue
+        lanes = _lanes(L)
         for users in itertools.combinations(range(1, K + 1), m):
-            if m == 1:
-                # a single schedule's correlation is its ones count at any shift
-                checked += 1
-                continue
-            first = spread[users[0]]
             middle_tables = [rotations[u] for u in users[1:-1]]
-            last = spread_reversed[users[-1]]
-            middles = itertools.product(range(L), repeat=m - 2)
-            blocks = _correlations(lanes, first, middle_tables, last)
-            flat = None
-            for middle, block in zip(middles, blocks):
-                if flat is None:
-                    value = block >> lanes.top
-                    flat = value * lanes.ones
-                if block != flat:
-                    # the first differing shift is the highest differing field
-                    f = ((block ^ flat).bit_length() - 1) // lanes.width
-                    t = L - 1 - f
-                    checked += t + 1
-                    witness = Witness(
-                        users=users,
-                        shifts_a=(0,) * m,
-                        shifts_b=(0, *middle, t),
-                        value_a=value,
-                        value_b=lanes.field(block, f),
-                    )
-                    return PropertyVerdict(prop, False, witness, checked)
-                checked += L
+            blocks = _correlations(
+                lanes, spread[users[0]], middle_tables, spread_reversed[users[-1]]
+            )
+            n, first, difference = _first_difference(lanes, blocks)
+            checked += n
+            if difference is not None:
+                middle, _, t, value = difference
+                witness = Witness(users, (0,) * m, (0, *middle, t), first[0], value)
+                return PropertyVerdict(prop, False, witness, checked)
     return PropertyVerdict(prop, True, None, checked)
 
 
@@ -457,22 +471,17 @@ def correlation_values(sset: SequenceSet, users: Sequence[int]) -> set[int]:
     """
     users = validate_users(users, sset.size)
     L = sset.period
-    cost = L ** len(users)
-    if cost > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"correlation values need {cost} slot evaluations, "
-            f"budget is {DEFAULT_BUDGET}"
-        )
+    _check_budget("correlation values need", L ** len(users), DEFAULT_BUDGET)
     masks = [sset.masks[u - 1] for u in users]
     if len(masks) == 1:
         return {masks[0].bit_count()}
     lanes = _lanes(L)
     middle_tables = [lanes.rotations(lanes.spread(m)) for m in masks[1:-1]]
-    columns = _correlations(
+    blocks = _correlations(
         lanes, lanes.spread(masks[0]), middle_tables, lanes.spread_reversed(masks[-1])
     )
     values: set[int] = set()
-    for column in columns:
+    for _, [column] in blocks:
         values.update(lanes.fields(column))
     return values
 
@@ -492,40 +501,21 @@ def is_ti(
     """
     K = sset.size
     L = sset.period
-    flat: list[int] | None = None
-    checked = 0
-    for outer, columns in _ti_sweep(sset, gamma, budget):
-        if flat is None:
-            lanes = _lanes(L)
-            first = [col >> lanes.top for col in columns]
-            flat = [v * lanes.ones for v in first]
-        if columns != flat:
-            # the first differing class: the earliest shift of the last
-            # user, which is the highest differing field, then the lowest user
-            w = lanes.width
-            tops = [((c ^ g).bit_length() - 1) // w for c, g in zip(columns, flat)]
-            f = max(tops)
-            i = tops.index(f)
-            t = L - 1 - f
-            checked += t + 1
-            witness = Witness(
-                users=(i + 1,),
-                shifts_a=(0,) * K,
-                shifts_b=(0, *outer, t),
-                value_a=Fraction(first[i], L),
-                value_b=Fraction(lanes.field(columns[i], f), L),
-            )
-            return PropertyVerdict("TI", False, witness, checked, gamma)
-        checked += L
-    verdict = PropertyVerdict("TI", True, None, checked, gamma)
-    if flat is not None and all(v > 0 for v in first):
+    blocks = _ti_sweep(sset, gamma, budget)
+    checked, first, difference = _first_difference(_lanes(L), blocks)
+    if difference is not None:
+        outer, i, t, value = difference
+        values = Fraction(first[i], L), Fraction(value, L)
+        witness = Witness((i + 1,), (0,) * K, (0, *outer, t), *values)
+        return PropertyVerdict("TI", False, witness, checked, gamma)
+    if all(v > 0 for v in first):
         pairwise = is_pairwise_si(sset, budget=budget)
         if not pairwise.holds:
             raise StructuralContradictionError(
                 "set verified TI but failed the pairwise shift-invariance "
                 f"cross-check: {pairwise.witness}"
             )
-    return verdict
+    return PropertyVerdict("TI", True, None, checked, gamma)
 
 
 def allone_constraint(sset: SequenceSet, gamma: int) -> bool:
@@ -922,11 +912,11 @@ def find_pairwise_si_not_si(
             # an empty member makes the triple's correlation 0 at every shift
             continue
         lanes = _lanes(L)
-        flat = (m1 & m2 & m3).bit_count() * lanes.ones
-        first = lanes.spread(m1)
         middle = lanes.rotations(lanes.spread(m2))
-        blocks = _correlations(lanes, first, [middle], lanes.spread_reversed(m3))
-        if any(block != flat for block in blocks):
+        blocks = _correlations(
+            lanes, lanes.spread(m1), [middle], lanes.spread_reversed(m3)
+        )
+        if _first_difference(lanes, blocks)[2] is not None:
             hits.append(
                 SequenceSet(
                     tuple(BinarySequence.from_mask(m, L) for m in (m1, m2, m3))

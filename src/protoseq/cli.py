@@ -88,7 +88,16 @@ def _out(text: str) -> None:
 
 def _emit(payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
-    _out(json.dumps(payload, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, indent=2)
+    except ValueError as exc:
+        # an exact value past the interpreter's limit on integer printing,
+        # which guards against quadratic int-to-decimal conversions
+        raise BudgetExceededError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit for printing an integer"
+        ) from exc
+    _out(text + "\n")
 
 
 def _read_set(path: str) -> SequenceSet:

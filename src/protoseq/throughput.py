@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import MAX_ENTRIES, BudgetExceededError, validate_gamma
-from .analysis import DEFAULT_BUDGET, _field_sum, _lane_width, _ti_sweep
+from .analysis import DEFAULT_BUDGET, _success_totals
 from .construction import as_duty_factors, construct_si
 
 __all__ = [
@@ -114,15 +114,9 @@ def consistency_check(
     """
     duty = as_duty_factors(duty)
     sset = construct_si(duty)
-    L = sset.period
-    width = _lane_width(L)
-    totals = [0] * sset.size
-    classes = 0
-    for _, columns in _ti_sweep(sset, gamma, budget):
-        classes += L
-        for i, column in enumerate(columns):
-            totals[i] += _field_sum(column, width)
-    average = tuple(Fraction(t, classes * L) for t in totals)
+    # L^(K-1) shift classes of L slots each
+    slots = sset.period ** sset.size
+    average = tuple(Fraction(t, slots) for t in _success_totals(sset, gamma, budget))
     return average == ti_throughput(duty, gamma).per_user
 
 
@@ -142,7 +136,11 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     itself runs in floating point; the winner is also re-scored exactly
     at nearby rationals for the report.  ``resolution`` must lie in
     (0, 1], and a coarse grid of more than ``core.MAX_ENTRIES`` steps is
-    refused with ``BudgetExceededError`` before anything is allocated.
+    refused with ``BudgetExceededError`` before anything is allocated,
+    as is a search of more than ``DEFAULT_BUDGET`` units: gamma terms per
+    grid point, and ``_row_cost`` per exact re-scoring at its largest
+    allowed denominator.  Within that budget every binomial coefficient
+    of the grid's terms fits a float (they stay below 2^630).
     """
     validate_gamma(gamma, users)
     if not 0 < resolution <= 1:
@@ -151,6 +149,13 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     if steps > MAX_ENTRIES:
         raise BudgetExceededError(
             f"a grid of {steps} steps exceeds the limit of {MAX_ENTRIES}"
+        )
+    max_denominators = (users, 2 * users, 10, 100, 1000, 10**6)
+    cost = (steps + 2001) * gamma
+    cost += sum(_row_cost(users, gamma, Fraction(1, q)) for q in max_denominators)
+    if cost > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"the duty search costs more than the budget of {DEFAULT_BUDGET}"
         )
     grid = np.linspace(0.0, 1.0, steps + 1)
     coarse = _symmetric_values(grid, users, gamma)
@@ -164,21 +169,14 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     value = float(values[idx])
 
     # exact re-scoring at simple rationals near the float winner
-    candidates = {Fraction(f_star).limit_denominator(q)
-                  for q in (users, 2 * users, 10, 100, 1000, 10**6)}
-    best_rat = None
-    best_val = None
-    for cand in sorted(candidates):
-        if not 0 <= cand <= 1:
-            continue
-        v = symmetric_throughput(cand, users, gamma)
-        if best_val is None or v > best_val:
-            best_rat, best_val = cand, v
+    candidates = {Fraction(f_star).limit_denominator(q) for q in max_denominators}
+    scores = {c: symmetric_throughput(c, users, gamma) for c in sorted(candidates)}
+    best_rat = max(scores, key=scores.__getitem__)  # the smallest of equal scores
     return OptimalDuty(
         f_star=f_star,
         value=value,
         rational_f=best_rat,
-        rational_value=best_val,
+        rational_value=scores[best_rat],
         resolution=resolution,
     )
 
@@ -189,9 +187,7 @@ def _curve_grid(k_values, gammas, duties):
     A user count no larger than every capability gives no row; a range
     drops those counts by index, so the grid never walks them.
     """
-    least = min((g for g in gammas if g >= 1), default=None)
-    if least is None:
-        return
+    least = min(gammas)
     if isinstance(k_values, range):
         start, step = k_values.start, k_values.step
         if step > 0:
@@ -200,7 +196,7 @@ def _curve_grid(k_values, gammas, duties):
             k_values = k_values[:max(0, -((least - start) // -step))]
     for k in k_values:
         for g in gammas:
-            if 1 <= g < k:
+            if g < k:
                 for f in duties:
                     yield k, g, f
 
@@ -223,16 +219,19 @@ def throughput_curve(
     """Symmetric per-user and system throughput over a parameter grid.
 
     System throughput is the per-user value times the user count.
-    Combinations with gamma >= K fall outside the model and are omitted.
-    Before the first row the cost of the whole table is estimated (see
-    ``_row_cost``), and a table of more than ``DEFAULT_BUDGET`` units,
-    about a second of exact arithmetic, is refused with
-    ``BudgetExceededError``.
+    Combinations with gamma >= K fall outside the model and are omitted;
+    a gamma below 1, no gamma at all and a grid without rows raise
+    ``ValueError``.  Before the first row the cost of the whole table is
+    estimated (see ``_row_cost``), and a table of more than
+    ``DEFAULT_BUDGET`` units, about a second of exact arithmetic, is
+    refused with ``BudgetExceededError``.
     """
     duties = as_duty_factors(duty_factors)
     if not isinstance(k_values, range):
         k_values = tuple(k_values)
     gammas = tuple(gammas)
+    if not gammas or min(gammas) < 1:
+        raise ValueError(f"curve capabilities must be at least 1, got {list(gammas)}")
     cost = 0
     for k, g, f in _curve_grid(k_values, gammas, duties):
         cost += _row_cost(k, g, f)
@@ -241,6 +240,9 @@ def throughput_curve(
                 f"the curve's exact sums cost more than the budget of "
                 f"{DEFAULT_BUDGET}"
             )
+    if not cost:
+        # every row costs at least 2000 units
+        raise ValueError("the curve has no rows: no user count exceeds a capability")
     rows = []
     for k, g, f in _curve_grid(k_values, gammas, duties):
         per_user = symmetric_throughput(f, k, g)

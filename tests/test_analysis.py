@@ -308,7 +308,7 @@ def test_lane_columns_at_the_field_width_boundary(L):
             column = lanes.column(lanes.spread(a), lanes.spread_reversed(b))
             expected = [(a & rotate_mask(b, t, L)).bit_count() for t in range(L)]
             assert unpack_column(column, L) == expected
-            assert analysis._field_sum(column, lanes.width) == sum(expected)
+            assert sum(lanes.fields(column)) == sum(expected)
     # all-ones beside all-zero: every success count is L or 0
     for a, b in [(full, 0), (0, full), (full, full), (masks[2], full), (masks[3], 0)]:
         trial = SequenceSet(

@@ -8,7 +8,7 @@ import time
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from protoseq import (
     analysis,
@@ -537,14 +537,18 @@ _FRACTION = st.one_of(
 
 
 _SMALL = st.integers(1, 60).map(str)
+_GAMMA = st.sampled_from(["1", "2", "0", "3", "-1", "\u0661", "2.0", "\u00e9"])
+_DUTIES = st.one_of(
+    st.lists(st.sampled_from(["1/2", "1/3", "2/7"]), min_size=1, max_size=3),
+    st.lists(_FRACTION, min_size=1, max_size=3),
+).map(",".join)
 
 
 @st.composite
 def session_argv(draw):
     """``session`` argv whose period count is mostly a number (small,
     negative or huge) and otherwise malformed text."""
-    gamma = st.sampled_from(["1", "2", "0", "3", "-1", "\u0661", "2.0", "\u00e9"])
-    argv = ["session", "--gamma", draw(gamma),
+    argv = ["session", "--gamma", draw(_GAMMA),
             "--periods", draw(st.one_of(_SMALL, _NUMBER, _TEXT)),
             "--seed", draw(st.sampled_from(["0", "7", "-1"]))]
     if draw(st.booleans()):
@@ -560,24 +564,68 @@ def curve_argv(draw):
                       st.tuples(_NUMBER, _NUMBER).map("..".join), _TEXT)
     gammas = st.one_of(st.lists(_SMALL, min_size=1, max_size=3),
                        st.lists(st.one_of(_NUMBER, _TEXT), min_size=1, max_size=3))
-    duties = st.one_of(st.lists(st.sampled_from(["1/2", "1/3", "2/7"]), min_size=1,
-                                max_size=3),
-                       st.lists(_FRACTION, min_size=1, max_size=3))
     return ["curve", "--users", draw(users), "--gamma", ",".join(draw(gammas)),
-            "--f", ",".join(draw(duties))]
+            "--f", draw(_DUTIES)]
 
 
-@pytest.mark.parametrize("argvs", [session_argv(), curve_argv()],
-                         ids=["session", "curve"])
-@settings(max_examples=150, deadline=timedelta(seconds=5))
-@given(data=st.data())
-def test_fuzzed_session_and_curve_argv_exit_with_a_documented_code(worked_path, argvs,
-                                                                  data):
-    """Every generated argv ends in exit 0, 1, 2 or 3; argparse's own
-    usage errors leave through ``SystemExit(2)``, as on the command line."""
-    argv = data.draw(argvs)
-    if argv[0] == "session":
-        argv.append(str(worked_path))
+def command_argv(command, required, optional=(), flags=()):
+    """``command`` argv with every option of ``required`` and some of
+    ``optional``, each followed by a value drawn from its strategy, then
+    some of ``flags``."""
+
+    @st.composite
+    def draw_argv(draw):
+        argv = [command]
+        chosen = [option for option in optional if draw(st.booleans())]
+        for name, values in [*required, *chosen]:
+            argv += [name, draw(values)]
+        return argv + [flag for flag in flags if draw(st.booleans())]
+
+    return draw_argv()
+
+
+# --budget, --resolution and --runs come from bounded sets, so that no
+# example starts work beyond the default budgets
+FUZZED_ARGV = {
+    "session": session_argv(),
+    "curve": curve_argv(),
+    "construct": command_argv(
+        "construct", [("--duty", _DUTIES)],
+        [("--fill", st.sampled_from(["left", "random", "up"])),
+         ("--seed", st.sampled_from(["0", "7", "-1", "x"]))],
+    ),
+    "bound": command_argv("bound", [("--duty", _DUTIES)], flags=["--full"]),
+    "verify": command_argv(
+        "verify", [("--property", st.sampled_from(["si", "pairwise-si", "ti", "x"]))],
+        [("--gamma", _GAMMA),
+         ("--budget", st.sampled_from(["1", "1000", "100000000", "0", "-5", "1e3"]))],
+    ),
+    "throughput": command_argv("throughput", [("--duty", _DUTIES), ("--gamma", _GAMMA)]),
+    "optimal-f": command_argv(
+        "optimal-f",
+        [("--users", st.one_of(_SMALL, _NUMBER, _TEXT)),
+         ("--gamma", st.one_of(_SMALL, _NUMBER))],
+        [("--resolution", st.sampled_from(
+            ["1e-4", "0.01", "0.5", "1", "0", "-1", "nan", "inf", "1e-12", "x"]))],
+    ),
+    "simulate": command_argv(
+        "simulate",
+        [("--gamma", _GAMMA),
+         ("--runs", st.sampled_from(["1", "3", "100", "0", "-1", "10000000000", "x"])),
+         ("--seed", st.sampled_from(["0", "7", "-1"]))],
+        [("--horizon", st.sampled_from(["1", "5", "0", "-1", str(10**18)])),
+         ("--scheme", st.sampled_from(["seq", "random", "x"]))],
+    ),
+}
+#: the subcommands that read a set file, the worked set here
+_READS_A_SET = {"session", "verify", "simulate"}
+
+
+def check_fuzzed_argv(worked_path, argv):
+    """An argv ends in exit 0, 1, 2 or 3; argparse's own usage errors
+    leave through ``SystemExit(2)``, as on the command line."""
+    if argv[0] in _READS_A_SET:
+        argv = [*argv, str(worked_path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -591,9 +639,62 @@ def test_fuzzed_session_and_curve_argv_exit_with_a_documented_code(worked_path, 
         assert code != 0 and err.getvalue().startswith("error: "), argv
     elif argv[0] == "curve":
         assert code == 0
-        assert out.getvalue().startswith("users,gamma,duty,per_user,system\n")
+        header, *rows = out.getvalue().splitlines()
+        assert header == "users,gamma,duty,per_user,system" and rows, argv
+    elif argv[0] == "construct":
+        assert code == 0 and parse_sequence_set(out.getvalue()).size >= 1
     else:
         assert code in (0, 1) and json.loads(out.getvalue())["schema"] == 1
+
+
+@pytest.mark.parametrize("command", list(FUZZED_ARGV))
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(data=st.data())
+def test_fuzzed_argv_exit_with_a_documented_code(worked_path, command, data):
+    check_fuzzed_argv(worked_path, data.draw(FUZZED_ARGV[command]))
+
+
+_DUTIES_900 = ",".join(["1/99991"] * 900)
+
+
+@settings(deadline=timedelta(seconds=5), phases=[Phase.explicit])
+@given(argv=st.one_of(*FUZZED_ARGV.values()))
+@example(argv=["curve", "--users", "5", "--gamma", "0,-3", "--f", "1/2"])
+@example(argv=["curve", "--users", "0..3", "--gamma", "7", "--f", "1/2"])
+@example(argv=["curve", "--users", "5", "--gamma", "2,0", "--f", "1/2"])
+@example(argv=["optimal-f", "--users", "1100", "--gamma", "1099", "--resolution", "0.5"])
+@example(argv=["optimal-f", "--users", "2000", "--gamma", "1500", "--resolution", "0.01"])
+@example(argv=["optimal-f", "--users", "1000", "--gamma", "999", "--resolution", "0.01"])
+@example(argv=["bound", "--duty", _DUTIES_900])
+def test_argv_found_by_fuzzing_exit_with_a_documented_code(worked_path, argv):
+    check_fuzzed_argv(worked_path, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("throughput", "--duty", ",".join([f"1/{10**40 + 1}"] * 110), "--gamma", "1"),
+    ("bound", "--duty", _DUTIES_900),
+])
+def test_exact_values_past_the_digit_limit_exit_three(capsys, argv):
+    # denominators of (10^40 + 1)^110 and 99991^900, over 4400 digits each
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "4300 digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--users", "1100", "--gamma", "1099", "--resolution", "0.5"), 3),
+    (("--users", "2000", "--gamma", "1500", "--resolution", "0.01"), 3),
+    (("--users", "1020", "--gamma", "1000", "--resolution", "0.01"), 3),
+    (("--users", "1000", "--gamma", "999", "--resolution", "0.01"), 3),
+    (("--users", "20", "--gamma", "19", "--resolution", "0.01"), 0),
+])
+def test_optimal_f_refuses_searches_over_its_budget(capsys, argv, expected):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "optimal-f", *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == expected
+    assert (out == "") == (code == 3) and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -143,6 +144,50 @@ def test_optimal_duty_validation():
         optimal_duty(5, 1, 1e-12)
 
 
+class _GridReached(Exception):
+    pass
+
+
+def test_optimal_duty_budget_keeps_binomials_within_float_range(monkeypatch):
+    # the grid converts C(K - 1, j) to a float; find, for each K, the
+    # largest gamma whose search the budget accepts at the coarsest grid
+    def reached(*args):
+        raise _GridReached
+
+    monkeypatch.setattr(throughput, "_symmetric_values", reached)
+
+    def accepted(users, gamma):
+        try:
+            optimal_duty(users, gamma, 1.0)
+        except _GridReached:
+            return True
+        except BudgetExceededError:
+            return False
+
+    largest = 0
+    for users in range(2, 16001, 37):
+        lo, hi = 0, users - 1  # accepted(users, lo) holds by convention
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if accepted(users, mid) else (lo, mid - 1)
+        if lo:
+            j = min(lo - 1, (users - 1) // 2)
+            largest = max(largest, comb(users - 1, j).bit_length())
+    assert not accepted(16001, 1)
+    assert 600 < largest < 1000
+
+
+def test_optimal_duty_refuses_searches_over_its_budget(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid was evaluated before the budget check")
+
+    monkeypatch.setattr(throughput, "_symmetric_values", no_grid)
+    for users, gamma, resolution in [(1100, 1099, 0.5), (2000, 1500, 0.01),
+                                     (1020, 1000, 0.01), (60, 59, 1e-7)]:
+        with pytest.raises(BudgetExceededError):
+            optimal_duty(users, gamma, resolution)
+
+
 def test_curve_rows_and_csv():
     rows = throughput_curve(range(10, 12), [1, 5, 10], ["1/10"])
     # gamma=10 is outside the model for K=10 and stays out of the table
@@ -194,13 +239,29 @@ def test_curve_budget_is_the_sum_of_its_row_costs(monkeypatch):
 
 def test_curve_skips_user_counts_below_every_capability():
     # counts up to the least capability give no row, so huge ranges of them
-    # are never walked
-    assert throughput_curve(range(1, 10**30), [0, -3], ["1/2"]) == ()
-    assert throughput_curve(range(1, 10**30, 7), [10**40], ["1/2"]) == ()
+    # are never walked, and a table left with no row is refused
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="no rows"):
+        throughput_curve(range(1, 10**30, 7), [10**40], ["1/2"])
+    assert time.monotonic() - start < 1.0
     for k_values in (range(1, 40), range(39, 0, -1), range(2, 40, 3),
-                     range(38, 0, -4), range(5, 5)):
+                     range(38, 0, -4)):
         for gammas in ([1], [3, 1], [7, 40], [20]):
             assert throughput_curve(k_values, gammas, ["1/3"]) == \
                 throughput_curve(list(k_values), gammas, ["1/3"])
     assert throughput_curve(iter([3, 4]), iter([1, 2]), ["1/2"]) == \
         throughput_curve([3, 4], [1, 2], ["1/2"])
+
+
+@pytest.mark.parametrize("k_values, gammas", [
+    (range(1, 10**30), [0, -3]),
+    ([5], [2, 0]),
+    ([5], []),
+    ([5], [5, 7]),
+    (range(0, 4), [7]),
+    (range(5, 5), [1]),
+    ([], [1]),
+])
+def test_curve_refuses_capabilities_below_one_and_tables_without_rows(k_values, gammas):
+    with pytest.raises(ValueError):
+        throughput_curve(k_values, gammas, ["1/2"])
