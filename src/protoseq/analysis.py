@@ -281,9 +281,16 @@ _Block = tuple[tuple[int, ...], list[int]]
 
 
 def _check_budget(need: str, cost: int, budget: int) -> None:
-    """Refuse a sweep of more than ``budget`` slot evaluations."""
+    """Refuse a sweep of more than ``budget`` slot evaluations.
+
+    The message gives the cost, unless it has too many digits to print.
+    """
     if cost > budget:
-        raise BudgetExceededError(f"{need} {cost} slot evaluations, budget is {budget}")
+        try:
+            message = f"{need} {cost} slot evaluations, budget is {budget}"
+        except ValueError:  # past sys.get_int_max_str_digits()
+            message = f"{need} more slot evaluations than the budget of {budget}"
+        raise BudgetExceededError(message)
 
 
 def _correlations(
@@ -412,7 +419,12 @@ def _constant_correlation_scan(
 ) -> PropertyVerdict:
     K = sset.size
     L = sset.period
-    cost = sum(comb(K, m) * L ** m for m in sizes)
+    # C(K, m) * L^m summed over the sizes; over every size from 1 to K
+    # that is (L + 1)^K - 1, by the binomial theorem
+    if sizes == range(1, K + 1):
+        cost = (L + 1) ** K - 1
+    else:
+        cost = sum(comb(K, m) * L ** m for m in sizes)
     _check_budget(f"{prop} verification needs", cost, budget)
     masks = sset.masks
     # each user's spread masks are made on first use, with the ``lanes``
@@ -449,7 +461,7 @@ def is_si(sset: SequenceSet, budget: int = DEFAULT_BUDGET) -> PropertyVerdict:
     full period.
     """
     sizes = range(1, sset.size + 1)
-    return _constant_correlation_scan(sset, list(sizes), "SI", budget)
+    return _constant_correlation_scan(sset, sizes, "SI", budget)
 
 
 def is_pairwise_si(sset: SequenceSet, budget: int = DEFAULT_BUDGET) -> PropertyVerdict:

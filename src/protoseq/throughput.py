@@ -9,10 +9,11 @@ duty-factor optimizer and the curve writer evaluate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -63,44 +64,65 @@ class CurveRow:
     system: Fraction
 
 
+def _tail_values(counts: Mapping, gamma: int) -> dict[tuple[int, int], Fraction]:
+    """Each duty factor's closed-form throughput in a multiset of users.
+
+    ``counts`` maps a factor a/d, in lowest terms, to its number of users
+    m.  With b = d - a, each user contributes the factor b + a*x to the
+    polynomial P(x), so P's coefficient of x^k over prod(d^m) is the
+    probability that exactly k users transmit.  A user's value is a/d
+    times the probability that fewer than gamma others do: the first
+    gamma coefficients of P / (b + a*x) over the other users'
+    denominators.  Only P's first gamma + 1 coefficients are kept, and
+    the division runs from the low end, where it is exact; the loop
+    carries a times each quotient coefficient.  An always-on user's
+    factor (b = 0) is a*x, so a times its quotient is P shifted down by
+    one coefficient.
+    """
+    p = [1]
+    for (a, d), m in counts.items():
+        b = d - a
+        power = [comb(m, j) * a**j * b ** (m - j) for j in range(min(m, gamma) + 1)]
+        product = [0] * min(gamma + 1, len(p) + len(power) - 1)
+        for i, c in enumerate(p):
+            for j, e in enumerate(power[: len(product) - i]):
+                product[i + j] += c * e
+        p = product
+    denominator = prod(d**m for (_, d), m in counts.items())
+    values = {}
+    for (a, d), m in counts.items():
+        b = d - a
+        if b:
+            total = r = 0
+            for k in range(gamma):
+                r = a * (p[k] - r) // b
+                total += r
+        else:
+            total = sum(p[1 : gamma + 1])
+        values[a, d] = Fraction(total, denominator)
+    return values
+
+
 def ti_throughput(duty: Iterable, gamma: int) -> ThroughputReport:
     """Exact per-user throughput forced on any TI set with these duty factors.
 
     R_i = f_i * sum over subsets H of the other users with |H| < gamma of
-    prod(f_j, j in H) * prod(1 - f_k, k outside H and i).
-
-    With f_j = a_j / d_j, the sum times prod(d_j, j != i) is the sum of
-    the first gamma coefficients of prod((d_j - a_j) + a_j x, j != i), so
-    each user's value is one integer polynomial, truncated to gamma
-    terms, over the product of all denominators.
+    prod(f_j, j in H) * prod(1 - f_k, k outside H and i), evaluated for
+    each distinct factor at once (see ``_tail_values``).
     """
     duty = as_duty_factors(duty)
     validate_gamma(gamma, len(duty))
-    denominator = prod(f.denominator for f in duty)
-    per_user = []
-    for i, f in enumerate(duty):
-        coeffs = [1]
-        for j, other in enumerate(duty):
-            if j == i:
-                continue
-            a = other.numerator
-            b = other.denominator - a
-            shifted = zip(coeffs + [0], [0] + coeffs)
-            coeffs = [b * c + a * lower for c, lower in shifted][:gamma]
-        per_user.append(Fraction(f.numerator * sum(coeffs), denominator))
-    return ThroughputReport(tuple(per_user), gamma)
+    keys = [(f.numerator, f.denominator) for f in duty]
+    values = _tail_values(Counter(keys), gamma)
+    return ThroughputReport(tuple(values[key] for key in keys), gamma)
 
 
 def symmetric_throughput(f, users: int, gamma: int) -> Fraction:
     """Common throughput when all ``users`` share duty factor f."""
-    f = Fraction(f)
-    if not 0 <= f <= 1:
-        raise ValueError(f"duty factor {f} outside [0, 1]")
+    (f,) = as_duty_factors([f])
     validate_gamma(gamma, users)
-    return sum(
-        comb(users - 1, j) * f ** (j + 1) * (1 - f) ** (users - 1 - j)
-        for j in range(gamma)
-    )
+    key = (f.numerator, f.denominator)
+    return _tail_values({key: users}, gamma)[key]
 
 
 def consistency_check(
@@ -202,12 +224,15 @@ def _curve_grid(k_values, gammas, duties):
 
 
 def _row_cost(k: int, g: int, f: Fraction) -> int:
-    """Estimated cost of one curve row, in units of about 10 ns.
+    """Upper bound on the cost of one curve row, in units of about 10 ns.
 
-    The row sums g exact terms, each a rational of about
-    K * bit_length(d) bits for f = n/d.  A term is charged 2000 units
-    of fixed set-up plus the square of its size in 30-bit digits, the
-    cost of the gcds that keep the running sum in lowest terms.
+    ``_tail_values`` builds g + 1 binomial terms of about
+    K * bit_length(d) bits for f = n/d, divides g of them by d - n, and
+    reduces one fraction.  Each of the g terms is charged
+    2000 units of fixed set-up plus the square of its size in 30-bit
+    digits, which bounds that work from above.  The bound is loose on
+    purpose: a tighter one would change which tables ``curve`` and
+    which searches ``optimal_duty`` refuse.
     """
     digits = -(-k * f.denominator.bit_length() // 30)
     return g * (2000 + digits * digits)

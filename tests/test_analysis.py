@@ -455,6 +455,18 @@ def test_budget_exceeded_is_an_error_not_a_verdict(example_set):
         is_ti(example_set, 1, budget=27**2 * 3 * 27 - 1)
 
 
+def test_budget_messages_give_the_cost(example_set):
+    # sum over tuple sizes m of C(3, m) * 27^m = 28^3 - 1
+    with pytest.raises(BudgetExceededError) as exc:
+        is_si(example_set, budget=100)
+    assert str(exc.value) == "SI verification needs 21951 slot evaluations, budget is 100"
+    with pytest.raises(BudgetExceededError) as exc:
+        is_pairwise_si(example_set, budget=100)
+    assert str(exc.value) == (
+        "PAIRWISE_SI verification needs 2187 slot evaluations, budget is 100"
+    )
+
+
 # ---------------------------------------------------------------------------
 # histogram deltas
 

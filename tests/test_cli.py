@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -113,6 +114,23 @@ def test_verify_budget_of_one_is_refused_with_exit_three(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "budget is 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--property", "ti", "--gamma", "1"),
+    ("--property", "si"),
+])
+def test_verify_refusals_past_the_digit_limit_exit_three(capsys, tmp_path, argv):
+    # L^(K-1) * K * L and (L + 1)^K - 1 slot evaluations, over 4300 digits
+    rng = random.Random(4400)
+    path = tmp_path / "wide.psq"
+    rows = (format(rng.getrandbits(10), "010b") for _ in range(4400))
+    path.write_text("".join(row + "\n" for row in rows))
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "verify", *argv, str(path))
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "more slot evaluations than the budget of" in err
 
 
 def test_verify_ti_requires_gamma(capsys, worked_file):
@@ -672,11 +690,14 @@ def test_argv_found_by_fuzzing_exit_with_a_documented_code(worked_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ("throughput", "--duty", ",".join([f"1/{10**40 + 1}"] * 110), "--gamma", "1"),
+    ("throughput", "--duty", _DUTIES_900, "--gamma", "1"),
     ("bound", "--duty", _DUTIES_900),
 ])
 def test_exact_values_past_the_digit_limit_exit_three(capsys, argv):
     # denominators of (10^40 + 1)^110 and 99991^900, over 4400 digits each
+    start = time.monotonic()
     code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1.0
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "4300 digits" in err
     assert "set_int_max_str_digits" not in err

@@ -67,15 +67,63 @@ def test_symmetric_values():
     assert symmetric_throughput(Fraction(1), 5, 4) == 0
 
 
+def binomial_tail(f, users, gamma):
+    """f times P(fewer than gamma of the other users transmit), term by term."""
+    return sum(
+        comb(users - 1, j) * f ** (j + 1) * (1 - f) ** (users - 1 - j)
+        for j in range(gamma)
+    )
+
+
 def test_symmetric_reduction():
     rng = random.Random(67)
     for _ in range(30):
         k = rng.randint(2, 7)
         f = Fraction(rng.randint(0, 5), 5)
         gamma = rng.randint(1, k - 1)
-        report = ti_throughput([f] * k, gamma)
-        expected = symmetric_throughput(f, k, gamma)
-        assert all(r == expected for r in report.per_user)
+        expected = subset_sum_oracle([f] * k, gamma)
+        assert ti_throughput([f] * k, gamma).per_user == expected
+        assert symmetric_throughput(f, k, gamma) == expected[0]
+    for _ in range(60):
+        k = rng.randint(2, 60)
+        d = rng.randint(1, 40)
+        f = Fraction(rng.randint(0, d), d)
+        gamma = rng.choice((1, k - 1, rng.randint(1, k - 1)))
+        expected = binomial_tail(f, k, gamma)
+        assert symmetric_throughput(f, k, gamma) == expected
+        assert set(ti_throughput([f] * k, gamma).per_user) == {expected}
+
+
+def test_repeated_factors_with_silent_and_always_on_users():
+    rng = random.Random(79)
+    for _ in range(60):
+        k = rng.randint(2, 8)
+        pool = [Fraction(0), Fraction(1), Fraction(rng.randint(1, 6), 7),
+                Fraction(rng.randint(1, 4), 5)]
+        duty = [rng.choice(pool) for _ in range(k)]
+        for gamma in (1, rng.randint(1, k - 1), k - 1):
+            assert ti_throughput(duty, gamma).per_user == subset_sum_oracle(duty, gamma)
+    # two always-on users fill a capability of 2 by themselves
+    assert ti_throughput(("1/1", "1/1", "1/2"), 2).per_user == (
+        Fraction(1, 2), Fraction(1, 2), 0
+    )
+
+
+@pytest.mark.parametrize("f", ["1/0", (1, 0), "3/2", -1])
+def test_symmetric_input_errors_match_ti_throughput(f):
+    with pytest.raises(ValueError):
+        ti_throughput([f] * 3, 1)
+    with pytest.raises(ValueError):
+        symmetric_throughput(f, 3, 1)
+
+
+def test_exact_values_of_many_users_in_time():
+    start = time.monotonic()
+    ti_throughput(["1/99991"] * 900, 1)
+    assert time.monotonic() - start < 1.0
+    start = time.monotonic()
+    symmetric_throughput(Fraction(12345, 99991), 1000, 500)
+    assert time.monotonic() - start < 0.3
 
 
 def test_monotone_in_gamma():
