@@ -283,13 +283,17 @@ _Block = tuple[tuple[int, ...], list[int]]
 def _check_budget(need: str, cost: int, budget: int) -> None:
     """Refuse a sweep of more than ``budget`` slot evaluations.
 
-    The message gives the cost, unless it has too many digits to print.
+    The message gives the cost and the budget, leaving out each that has
+    too many digits to print.
     """
     if cost > budget:
         try:
             message = f"{need} {cost} slot evaluations, budget is {budget}"
         except ValueError:  # past sys.get_int_max_str_digits()
-            message = f"{need} more slot evaluations than the budget of {budget}"
+            try:
+                message = f"{need} more slot evaluations than the budget of {budget}"
+            except ValueError:
+                message = f"{need} more slot evaluations than the budget allows"
         raise BudgetExceededError(message)
 
 

@@ -147,6 +147,9 @@ def exact_count_mask(planes: Sequence[int], j: int, period: int) -> int:
 # domain types
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True, init=False)
 class BinarySequence:
     """One user's periodic 0/1 schedule; slot t repeats every ``period`` slots.
@@ -160,11 +163,11 @@ class BinarySequence:
     mask: int
 
     def __init__(self, bits: Iterable[int]) -> None:
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(bits)
+        if not {*bits} <= {0, 1}:
             raise ValueError("schedule entries must be 0 or 1")
-        text = "".join(map(str, bits))
-        self._store(int(text[::-1] or "0", 2), len(text))
+        digits = bytes(map(int, reversed(bits))).translate(_BIT_DIGITS)
+        self._store(int(digits or b"0", 2), len(digits))
 
     def _store(self, mask: int, period: int) -> None:
         if period < 1:

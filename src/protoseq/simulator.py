@@ -36,9 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, repeat
 from math import ceil, log2
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     MAX_ENTRIES,
@@ -52,6 +50,9 @@ from .core import (
 )
 from .analysis import DEFAULT_BUDGET, is_ti, success_counts
 from .throughput import ti_throughput
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RNG_NAME",
@@ -124,6 +125,8 @@ class SimResult:
 
 
 def _generator(seed: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -153,6 +156,8 @@ def _protocol_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
     (the ripple of ``core.count_planes``) and compared with gamma (as in
     ``core.at_most_mask``), all elementwise on numpy arrays.
     """
+    import numpy as np
+
     K, L, gamma = sset.size, sset.period, cfg.gamma
     shifts = _generator(cfg.seed).integers(0, L, size=(cfg.runs, K))
     words = (L + 63) >> 6
@@ -246,7 +251,7 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
     else:
         samples = cfg.horizon * L
         # the counts and their column sums are int64
-        top = int(np.iinfo(np.int64).max)
+        top = 2**63 - 1
         if cfg.runs * samples > top:
             raise BudgetExceededError(
                 f"{cfg.runs} runs draw {cfg.runs * samples} slots, more "

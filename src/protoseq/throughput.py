@@ -13,13 +13,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .core import MAX_ENTRIES, BudgetExceededError, validate_gamma
 from .analysis import DEFAULT_BUDGET, _success_totals
 from .construction import as_duty_factors, construct_si
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ThroughputReport",
@@ -64,6 +65,24 @@ class CurveRow:
     system: Fraction
 
 
+def _binomial_row(a: int, b: int, m: int, n: int) -> list[int]:
+    """The terms comb(m, j) * a**j * b**(m - j) of (b + a*x)^m, for j <= n.
+
+    Built with running products: comb(m, j) * a**j times (m - j) / (j + 1)
+    is exact, and the powers of b come up from b**(m - n), so b = 0 (an
+    always-on factor) needs no division.
+    """
+    b_powers = [b ** (m - n)]
+    for _ in range(n):
+        b_powers.append(b_powers[-1] * b)
+    row = []
+    head = 1  # comb(m, j) * a**j
+    for j in range(n + 1):
+        row.append(head * b_powers[n - j])
+        head = head * (m - j) // (j + 1) * a
+    return row
+
+
 def _tail_values(counts: Mapping, gamma: int) -> dict[tuple[int, int], Fraction]:
     """Each duty factor's closed-form throughput in a multiset of users.
 
@@ -81,8 +100,7 @@ def _tail_values(counts: Mapping, gamma: int) -> dict[tuple[int, int], Fraction]
     """
     p = [1]
     for (a, d), m in counts.items():
-        b = d - a
-        power = [comb(m, j) * a**j * b ** (m - j) for j in range(min(m, gamma) + 1)]
+        power = _binomial_row(a, d - a, m, min(m, gamma))
         product = [0] * min(gamma + 1, len(p) + len(power) - 1)
         for i, c in enumerate(p):
             for j, e in enumerate(power[: len(product) - i]):
@@ -143,6 +161,8 @@ def consistency_check(
 
 
 def _symmetric_values(f: np.ndarray, users: int, gamma: int) -> np.ndarray:
+    import numpy as np
+
     total = np.zeros_like(f)
     for j in range(gamma):
         total += comb(users - 1, j) * f ** (j + 1) * (1.0 - f) ** (users - 1 - j)
@@ -164,6 +184,8 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     allowed denominator.  Within that budget every binomial coefficient
     of the grid's terms fits a float (they stay below 2^630).
     """
+    import numpy as np
+
     validate_gamma(gamma, users)
     if not 0 < resolution <= 1:
         raise ValueError(f"resolution must lie in (0, 1], got {resolution}")

@@ -467,6 +467,18 @@ def test_budget_messages_give_the_cost(example_set):
     )
 
 
+def test_budgets_past_the_digit_limit_still_refuse():
+    # both the cost and the budget have more than 4300 digits
+    rng = random.Random(4400)
+    sset = SequenceSet(
+        tuple(BinarySequence.from_mask(rng.getrandbits(10), 10) for _ in range(4400))
+    )
+    for verdict in (partial(is_ti, sset, 1), partial(is_si, sset)):
+        with pytest.raises(BudgetExceededError) as exc:
+            verdict(budget=10**4350)
+        assert str(exc.value).endswith("more slot evaluations than the budget allows")
+
+
 # ---------------------------------------------------------------------------
 # histogram deltas
 

@@ -326,6 +326,55 @@ def test_python_m_protoseq_runs_the_command_line(capsys):
     assert done.returncode == 2
 
 
+# Runs each argv given as a JSON list through cli.main in one interpreter and
+# prints, after the import and after each command, whether numpy is loaded.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from protoseq import cli
+print("import", "numpy" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(argv[0], code, "numpy" in sys.modules)
+"""
+
+
+def test_only_monte_carlo_and_duty_search_load_numpy(worked_file):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def footprint(*commands):
+        done = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, json.dumps(commands)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.stderr == ""
+        return done.stdout.splitlines()
+
+    duty = ["--duty", "2/3,1/3,1/3"]
+    assert footprint(
+        ["example"],
+        ["construct", *duty],
+        ["bound", *duty],
+        ["throughput", *duty, "--gamma", "2"],
+        ["curve", "--users", "2..6", "--gamma", "1,2", "--f", "1/3"],
+        ["verify", "--property", "ti", "--gamma", "1", worked_file],
+        ["verify", "--property", "si", worked_file],
+        ["simulate", "--gamma", "2", "--runs", "100", "--seed", "5", worked_file],
+    ) == [
+        "import False", "example 0 False", "construct 0 False", "bound 0 False",
+        "throughput 0 False", "curve 0 False", "verify 0 False", "verify 0 False",
+        "simulate 0 True",
+    ]
+    assert footprint(["optimal-f", "--users", "5", "--gamma", "1"]) == [
+        "import False", "optimal-f 0 True",
+    ]
+    # a session draws its shifts from the seeded Philox generator
+    assert footprint(
+        ["session", "--gamma", "1", "--periods", "6", "--seed", "2", worked_file]
+    ) == ["import False", "session 0 True"]
+
+
 def test_round_trip_verdicts_match_in_memory(capsys, tmp_path):
     from protoseq import construct_si, is_si, is_ti
 

@@ -282,6 +282,10 @@ def test_binary_sequence_validation():
         BinarySequence((0, 2))
     with pytest.raises(ValueError):
         BinarySequence((1, -1))
+    # entries are compared with 0 and 1, not converted by int() first
+    for bits in ([0.5, 1], [1.9, 0], [1, " 1"]):
+        with pytest.raises(ValueError):
+            BinarySequence(bits)
     for text in ("012", "1 0", "0b1", "1_0", "-1"):
         with pytest.raises(ValueError):
             BinarySequence.from_string(text)

@@ -94,6 +94,18 @@ def test_symmetric_reduction():
         assert set(ti_throughput([f] * k, gamma).per_user) == {expected}
 
 
+def test_binomial_row_matches_comb_terms():
+    rng = random.Random(83)
+    for _ in range(300):
+        d = rng.randint(1, 50)
+        a = rng.randint(0, d)
+        m = rng.randint(0, 80)
+        n = rng.randint(0, m)
+        assert throughput._binomial_row(a, d - a, m, n) == [
+            comb(m, j) * a**j * (d - a) ** (m - j) for j in range(n + 1)
+        ]
+
+
 def test_repeated_factors_with_silent_and_always_on_users():
     rng = random.Random(79)
     for _ in range(60):
@@ -123,6 +135,9 @@ def test_exact_values_of_many_users_in_time():
     assert time.monotonic() - start < 1.0
     start = time.monotonic()
     symmetric_throughput(Fraction(12345, 99991), 1000, 500)
+    assert time.monotonic() - start < 0.3
+    start = time.monotonic()
+    symmetric_throughput(Fraction(1, 3), 4000, 2000)
     assert time.monotonic() - start < 0.3
 
 
