@@ -14,16 +14,21 @@ orbit is visited once.  Every verdict is computed in exact integer and
 rational arithmetic.  Searches that would exceed the evaluation budget
 raise instead of silently passing.
 
-The sweeps score all L shifts of a tuple's last member at once.  Masks
-are spread into byte-aligned lanes (``_Lanes``: slot t at bit w·t, with
-w = 8·ceil(bit_length(L)/8)), and one big-integer product of a spread
-mask with the last member's spread mask read backwards leaves the count
-at each shift in its own field.  A block of L shift classes then costs
-one product of two L·w-bit integers per user (Karatsuba time in
-CPython, about (L·w)^1.6), instead of L popcounts run one by one in the
-interpreter.  Every sweep yields its blocks in one shape, one locator
-(``_first_difference``) finds the first class that differs from the
-all-zero class, and no other module reads the lane format.
+One generator (``_Lanes.sweep``) lays out every sweep: the TI and SI
+verdicts, ``correlation_values`` and the pairwise-SI search.  It spreads
+a tuple's masks into byte-aligned lanes (slot t at bit w·t, with
+w = 8·ceil(bit_length(L)/8)), walks the middle members' shifts and
+hands each shift to a score, which counts all L shifts of the last
+member at once: one big-integer product of a spread mask with the last
+member's spread mask read backwards leaves the count at each shift in
+its own field.  A block of L shift classes then costs one product of
+two L·w-bit integers per column (Karatsuba time in CPython, about
+(L·w)^1.6), instead of L popcounts run one by one in the interpreter.
+Two scores fill the sweep: the tuple's correlation
+(``_Lanes.correlation``) and the per-user success counts of the TI
+sweep (``_ti_sweep``).  One locator (``_first_difference``) finds the
+first class that differs from the all-zero class, and no other module
+reads the lane format.
 """
 
 from __future__ import annotations
@@ -35,18 +40,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
     BinarySequence,
-    BudgetExceededError,
     ProtoseqError,
     SequenceSet,
     ShiftsLike,
     ThetaProfile,
     as_shifts,
     at_most_mask,
+    budget_refusal,
     count_planes,
     exact_count_mask,
     hamming_cross_correlation,
@@ -210,7 +215,8 @@ class _Lanes:
     mask x by the spread of another schedule read backwards, q, adds up
     |x & rot(last, tau)| for every tau at once: field f of
     ``column(x, q)`` holds the count at tau = L - 1 - f.  No field
-    carries into the next, since each holds at most L.
+    carries into the next, since each holds at most L.  ``sweep`` lays
+    out every shift sweep in this format, and only it spreads masks.
     """
 
     __slots__ = ("period", "width", "bits", "full", "top", "ones")
@@ -270,6 +276,36 @@ class _Lanes:
             return data
         return [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
 
+    def sweep(
+        self, masks: Sequence[int], score: Callable[[int, Sequence[int], int], list[int]]
+    ) -> Iterator[_Block]:
+        """Score a tuple at every shift class, first shift pinned to zero.
+
+        ``masks`` holds the tuple's two or more members.  One block
+        ``(middle, score(first, rotated, last))`` is yielded per shift
+        ``middle`` of the middle members, in lexicographic order:
+        ``first`` is the first member's spread mask, ``rotated`` the
+        middle members' spread masks at ``middle`` and ``last`` the last
+        member's ``spread_reversed`` mask.  The score returns packed
+        columns whose field L - 1 - t holds a count at the last member's
+        shift t, so the top fields of the first block are the all-zero
+        class.  The masks are spread on the first block, not on the call.
+        """
+        first = self.spread(masks[0])
+        tables = [self.rotations(self.spread(m)) for m in masks[1:-1]]
+        last = self.spread_reversed(masks[-1])
+        shifts = itertools.product(range(self.period), repeat=len(tables))
+        for middle, rotated in zip(shifts, itertools.product(*tables)):
+            yield middle, score(first, rotated, last)
+
+    def correlation(self, first: int, rotated: Sequence[int], last: int) -> list[int]:
+        """The correlation score: one column, whose field L - 1 - t counts
+        the slots where ``first``, every ``rotated`` mask and the last
+        member at shift t all fire."""
+        for m in rotated:
+            first &= m
+        return [self.column(first, last)]
+
 
 #: The layout of a period, built once for the most recently swept periods.
 _lanes = lru_cache(maxsize=64)(_Lanes)
@@ -287,48 +323,27 @@ def _check_budget(need: str, cost: int, budget: int) -> None:
     too many digits to print.
     """
     if cost > budget:
-        try:
-            message = f"{need} {cost} slot evaluations, budget is {budget}"
-        except ValueError:  # past sys.get_int_max_str_digits()
-            try:
-                message = f"{need} more slot evaluations than the budget of {budget}"
-            except ValueError:
-                message = f"{need} more slot evaluations than the budget allows"
-        raise BudgetExceededError(message)
-
-
-def _correlations(
-    lanes: _Lanes, first: int, middle_tables: Sequence[Sequence[int]], last: int
-) -> Iterator[_Block]:
-    """Correlations of a tuple at every shift class, first shift pinned to zero.
-
-    ``first`` is the spread mask of the first member, ``middle_tables``
-    the spread rotations of the middle members and ``last`` the
-    ``spread_reversed`` mask of the last member.  One block
-    ``(middle, [column])`` is yielded per shift ``middle`` of the middle
-    members, in lexicographic order; field L - 1 - t of the column is the
-    correlation with the last member at shift t.  So the top field of the
-    first column is the all-zero class.
-    """
-    shifts = itertools.product(range(lanes.period), repeat=len(middle_tables))
-    for middle, rotated in zip(shifts, itertools.product(*middle_tables)):
-        acc = first
-        for m in rotated:
-            acc &= m
-        yield middle, [lanes.column(acc, last)]
+        raise budget_refusal(
+            "{need} {cost} slot evaluations, budget is {budget}",
+            "{need} more slot evaluations than the budget of {budget}",
+            "{need} more slot evaluations than the budget allows",
+            need=need,
+            cost=cost,
+            budget=budget,
+        )
 
 
 def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
     """Per-user success counts at every shift class, first shift pinned to zero.
 
-    Yields one block ``(outer, columns)`` per shift ``outer`` of users
-    2..K-1, in lexicographic order; ``columns[i]`` packs user i+1's
-    success counts with the last user at every shift in the fields of
-    ``_lanes(L)``, shift t in field L - 1 - t.  The capability and the
-    budget are checked on the call, before any layout is built.
+    The blocks of ``_Lanes.sweep`` over the whole set, one per shift
+    ``outer`` of users 2..K-1; ``columns[i]`` packs user i+1's success
+    counts with the last user at every shift, shift t in field L - 1 - t.
+    The capability and the budget are checked on the call, before any
+    layout is built.
 
-    The first K - 1 users are counted once per block: a slot where at
-    most gamma - 1 of them fire (``room``) lets every packet through
+    The score counts the first K - 1 users once per block: a slot where
+    at most gamma - 1 of them fire (``room``) lets every packet through
     whatever the last user does, and a slot where exactly gamma of them
     fire (``edge``) lets theirs through only while the last user is
     silent.  One product per user then scores every shift of the last
@@ -341,12 +356,9 @@ def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
     lanes = _lanes(L)
     ones = lanes.ones
     column = lanes.column
-    pinned = lanes.spread(sset.masks[0])
-    tables = [lanes.rotations(lanes.spread(m)) for m in sset.masks[1:-1]]
-    last = lanes.spread_reversed(sset.masks[-1])
 
-    def block(outer: tuple[int, ...], middle: tuple[int, ...]) -> _Block:
-        head = (pinned, *middle)
+    def score(first: int, rotated: Sequence[int], last: int) -> list[int]:
+        head = (first, *rotated)
         planes = count_planes(head)
         room = at_most_mask(planes, gamma - 1, lanes.bits) & ones
         edge = exact_count_mask(planes, gamma, lanes.bits)
@@ -358,10 +370,9 @@ def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
             base = (m & room).bit_count() + e.bit_count()
             columns.append(base * ones - column(e, last))
         columns.append(column(room, last))
-        return outer, columns
+        return columns
 
-    shifts = itertools.product(range(L), repeat=K - 2)
-    return map(block, shifts, itertools.product(*tables))
+    return lanes.sweep(sset.masks, score)
 
 
 def _first_difference(
@@ -406,18 +417,6 @@ def _success_totals(sset: SequenceSet, gamma: int, budget: int) -> list[int]:
     return totals
 
 
-class _Memo(dict):
-    """Dictionary that fills a missing key with ``make(key)``."""
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _constant_correlation_scan(
     sset: SequenceSet, sizes: Sequence[int], prop: str, budget: int
 ) -> PropertyVerdict:
@@ -431,11 +430,6 @@ def _constant_correlation_scan(
         cost = sum(comb(K, m) * L ** m for m in sizes)
     _check_budget(f"{prop} verification needs", cost, budget)
     masks = sset.masks
-    # each user's spread masks are made on first use, with the ``lanes``
-    # set below: most scans of random sets stop at the first pair
-    spread = _Memo(lambda u: lanes.spread(masks[u - 1]))
-    spread_reversed = _Memo(lambda u: lanes.spread_reversed(masks[u - 1]))
-    rotations = _Memo(lambda u: lanes.rotations(spread[u]))
     checked = 0
     for m in sizes:
         if m == 1:
@@ -444,10 +438,7 @@ def _constant_correlation_scan(
             continue
         lanes = _lanes(L)
         for users in itertools.combinations(range(1, K + 1), m):
-            middle_tables = [rotations[u] for u in users[1:-1]]
-            blocks = _correlations(
-                lanes, spread[users[0]], middle_tables, spread_reversed[users[-1]]
-            )
+            blocks = lanes.sweep([masks[u - 1] for u in users], lanes.correlation)
             n, first, difference = _first_difference(lanes, blocks)
             checked += n
             if difference is not None:
@@ -492,12 +483,8 @@ def correlation_values(sset: SequenceSet, users: Sequence[int]) -> set[int]:
     if len(masks) == 1:
         return {masks[0].bit_count()}
     lanes = _lanes(L)
-    middle_tables = [lanes.rotations(lanes.spread(m)) for m in masks[1:-1]]
-    blocks = _correlations(
-        lanes, lanes.spread(masks[0]), middle_tables, lanes.spread_reversed(masks[-1])
-    )
     values: set[int] = set()
-    for _, [column] in blocks:
+    for _, [column] in lanes.sweep(masks, lanes.correlation):
         values.update(lanes.fields(column))
     return values
 
@@ -928,10 +915,7 @@ def find_pairwise_si_not_si(
             # an empty member makes the triple's correlation 0 at every shift
             continue
         lanes = _lanes(L)
-        middle = lanes.rotations(lanes.spread(m2))
-        blocks = _correlations(
-            lanes, lanes.spread(m1), [middle], lanes.spread_reversed(m3)
-        )
+        blocks = lanes.sweep((m1, m2, m3), lanes.correlation)
         if _first_difference(lanes, blocks)[2] is not None:
             hits.append(
                 SequenceSet(

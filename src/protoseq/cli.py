@@ -25,6 +25,7 @@ from .core import (
     MAX_ENTRIES,
     BudgetExceededError,
     SequenceSet,
+    budget_refusal,
     format_sequence_set,
     parse_sequence_set,
 )
@@ -131,8 +132,12 @@ def _cmd_bound(args) -> int:
     k = len(duty)
     period = construction.min_period_bound(duty)
     if args.full and (1 << k) - 1 > MAX_ENTRIES:
-        raise BudgetExceededError(
-            f"{k} users have {(1 << k) - 1} subsets, the limit is {MAX_ENTRIES}"
+        raise budget_refusal(
+            "{k} users have {subsets} subsets, the limit is {limit}",
+            "{k} users have more subsets than the limit of {limit}",
+            k=k,
+            subsets=(1 << k) - 1,
+            limit=MAX_ENTRIES,
         )
     users = range(1, k + 1)
     if k <= BOUND_LIST_USERS or args.full:

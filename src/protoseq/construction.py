@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 from .core import (
     DEFAULT_BUDGET,
     BinarySequence,
-    BudgetExceededError,
     SequenceSet,
+    budget_refusal,
     full_mask,
 )
 
@@ -118,9 +118,12 @@ def _layout(duty: Iterable, fill: str) -> tuple[tuple[Fraction, ...], int]:
         raise ValueError("fill must be 'left' or 'random'")
     L = min_period_bound(duty)
     if len(duty) * L > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"{len(duty)} schedules of period {L} exceed the budget of "
-            f"{DEFAULT_BUDGET} slots"
+        raise budget_refusal(
+            "{k} schedules of period {L} exceed the budget of {budget} slots",
+            "{k} schedules exceed the budget of {budget} slots",
+            k=len(duty),
+            L=L,
+            budget=DEFAULT_BUDGET,
         )
     return duty, L
 

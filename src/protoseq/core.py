@@ -71,6 +71,23 @@ class BudgetExceededError(ProtoseqError):
     """
 
 
+def budget_refusal(*messages: str, **values: object) -> BudgetExceededError:
+    """A ``BudgetExceededError`` whose message is the first of ``messages``
+    that can be printed.
+
+    Each message is a ``str.format`` template over ``values``.  An integer
+    of more digits than ``sys.get_int_max_str_digits()`` cannot be
+    printed, so a template that prints one is passed over for the next;
+    the last template prints no value that can be that long.
+    """
+    for message in messages[:-1]:
+        try:
+            return BudgetExceededError(message.format(**values))
+        except ValueError:
+            pass
+    return BudgetExceededError(messages[-1].format(**values))
+
+
 # ---------------------------------------------------------------------------
 # bitmask helpers
 

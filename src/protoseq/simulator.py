@@ -40,11 +40,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     MAX_ENTRIES,
-    BudgetExceededError,
     ProtoseqError,
     SequenceSet,
     ShiftsLike,
     as_shifts,
+    budget_refusal,
     rotate_mask,
     validate_gamma,
 )
@@ -241,9 +241,13 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
     L = sset.period
     entries = cfg.runs * K
     if entries > MAX_ENTRIES:
-        raise BudgetExceededError(
-            f"{cfg.runs} runs need arrays of {entries} entries, "
-            f"the limit is {MAX_ENTRIES}"
+        raise budget_refusal(
+            "{runs} runs need arrays of {entries} entries, the limit is {limit}",
+            "{runs} runs need arrays of more entries than the limit of {limit}",
+            "the runs need arrays of more entries than the limit of {limit}",
+            runs=cfg.runs,
+            entries=entries,
+            limit=MAX_ENTRIES,
         )
     if cfg.scheme == "protocol_sequences":
         counts = _protocol_counts(sset, cfg)
@@ -253,9 +257,13 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
         # the counts and their column sums are int64
         top = 2**63 - 1
         if cfg.runs * samples > top:
-            raise BudgetExceededError(
-                f"{cfg.runs} runs draw {cfg.runs * samples} slots, more "
-                f"than the int64 limit of {top}"
+            raise budget_refusal(
+                "{runs} runs draw {slots} slots, more than the int64 limit of {top}",
+                "{runs} runs draw more slots than the int64 limit of {top}",
+                "the runs draw more slots than the int64 limit of {top}",
+                runs=cfg.runs,
+                slots=cfg.runs * samples,
+                top=top,
             )
         counts = _random_access_counts(sset, cfg)
     return SimResult(
@@ -413,8 +421,11 @@ def run_session(
     if periods < 1:
         raise ValueError("periods must be at least 1")
     if periods > sys.maxsize:
-        raise BudgetExceededError(
-            f"{periods} periods exceed the limit of {sys.maxsize}"
+        raise budget_refusal(
+            "{periods} periods exceed the limit of {limit}",
+            "the periods exceed the limit of {limit}",
+            periods=periods,
+            limit=sys.maxsize,
         )
     if shifts is None:
         if seed is None:

@@ -752,6 +752,29 @@ def test_exact_values_past_the_digit_limit_exit_three(capsys, argv):
     assert "set_int_max_str_digits" not in err
 
 
+_NINES = "9" * 4300  # the longest integer argparse's int() reads
+
+
+@pytest.mark.parametrize("argv", [
+    # a period of 10^8000, 3 * (10^4300 - 1) entries, 27 * (10^4300 - 1)
+    # slots and 2^15000 - 1 subsets: each has more than 4300 digits
+    ("construct", "--duty", ",".join(["1/1" + "0" * 4000] * 2)),
+    ("simulate", "--gamma", "1", "--seed", "0", "--runs", _NINES),
+    ("simulate", "--scheme", "random", "--gamma", "1", "--seed", "0",
+     "--runs", "1", "--horizon", _NINES),
+    ("bound", "--full", "--duty", ",".join(["1/2"] * 15000)),
+])
+def test_budget_refusals_past_the_digit_limit_exit_three(capsys, worked_path, argv):
+    if argv[0] in _READS_A_SET:
+        argv = [*argv, str(worked_path)]
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    assert "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("--users", "1100", "--gamma", "1099", "--resolution", "0.5"), 3),
     (("--users", "2000", "--gamma", "1500", "--resolution", "0.01"), 3),

@@ -39,8 +39,8 @@ from helpers import (
 
 @st.composite
 def sequence_sets(draw):
-    K = draw(st.integers(2, 4))
-    L = draw(st.integers(1, 8))
+    K = draw(st.integers(2, 5))
+    L = draw(st.integers(1, 8 if K < 5 else 5))
     masks = draw(st.lists(st.integers(0, (1 << L) - 1), min_size=K, max_size=K))
     return SequenceSet(tuple(BinarySequence.from_mask(m, L) for m in masks))
 

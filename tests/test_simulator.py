@@ -249,6 +249,10 @@ def test_monte_carlo_refuses_huge_run_counts_up_front(example_set):
         cfg = SimConfig(gamma=1, runs=10**10, seed=0, scheme=scheme)
         with pytest.raises(BudgetExceededError):
             run_monte_carlo(example_set, cfg)
+    # run counts of more digits than an integer may print still refuse
+    cfg = SimConfig(gamma=1, runs=10**4400, seed=0)
+    with pytest.raises(BudgetExceededError, match="^the runs need arrays of more"):
+        run_monte_carlo(example_set, cfg)
 
 
 def test_sim_config_validation():
@@ -423,6 +427,9 @@ def test_session_refuses_period_counts_beyond_a_sequence_length(example_set):
         run_session(example_set, gamma=1, periods=top + 1, seed=0, trust_ti=True)
     with pytest.raises(BudgetExceededError):
         run_session(example_set, gamma=1, periods=10**30, seed=0)
+    # a count of more digits than an integer may print still refuses
+    with pytest.raises(BudgetExceededError, match=f"^the periods exceed the limit of {top}$"):
+        run_session(example_set, gamma=1, periods=10**4400, seed=0)
     report = run_session(example_set, gamma=1, periods=top, seed=0, trust_ti=True)
     assert {len(o) for o in report.per_user} <= {top, top - 1}
     assert all(o[-1].period_index == top - 1 for o in report.per_user)
