@@ -11,6 +11,7 @@ session-level decoding chain.
 """
 
 from .core import (
+    DEFAULT_BUDGET,
     BinarySequence,
     BudgetExceededError,
     ProtoseqError,
@@ -36,7 +37,6 @@ from .construction import (
     subset_divisors,
 )
 from .analysis import (
-    DEFAULT_BUDGET,
     DeltaRecord,
     PreconditionError,
     PropertyVerdict,

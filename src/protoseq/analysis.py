@@ -51,10 +51,10 @@ from .core import (
     ThetaProfile,
     as_shifts,
     at_most_mask,
-    budget_refusal,
     count_planes,
     exact_count_mask,
     hamming_cross_correlation,
+    refuse_past,
     rotate_mask,
     theta_profile,
     validate_gamma,
@@ -315,22 +315,8 @@ _lanes = lru_cache(maxsize=64)(_Lanes)
 #: columns whose field L - 1 - t holds a count at the last member's shift t.
 _Block = tuple[tuple[int, ...], list[int]]
 
-
-def _check_budget(need: str, cost: int, budget: int) -> None:
-    """Refuse a sweep of more than ``budget`` slot evaluations.
-
-    The message gives the cost and the budget, leaving out each that has
-    too many digits to print.
-    """
-    if cost > budget:
-        raise budget_refusal(
-            "{need} {cost} slot evaluations, budget is {budget}",
-            "{need} more slot evaluations than the budget of {budget}",
-            "{need} more slot evaluations than the budget allows",
-            need=need,
-            cost=cost,
-            budget=budget,
-        )
+#: The refusal of a sweep of more slot evaluations than its budget.
+_REFUSAL = "{need} {amount} slot evaluations, budget is {limit}"
 
 
 def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
@@ -352,7 +338,7 @@ def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
     K = sset.size
     L = sset.period
     validate_gamma(gamma, K)
-    _check_budget("TI verification needs", L ** (K - 1) * K * L, budget)
+    refuse_past(L ** (K - 1) * K * L, budget, _REFUSAL, need="TI verification needs")
     lanes = _lanes(L)
     ones = lanes.ones
     column = lanes.column
@@ -428,7 +414,7 @@ def _constant_correlation_scan(
         cost = (L + 1) ** K - 1
     else:
         cost = sum(comb(K, m) * L ** m for m in sizes)
-    _check_budget(f"{prop} verification needs", cost, budget)
+    refuse_past(cost, budget, _REFUSAL, need=f"{prop} verification needs")
     masks = sset.masks
     checked = 0
     for m in sizes:
@@ -478,7 +464,7 @@ def correlation_values(sset: SequenceSet, users: Sequence[int]) -> set[int]:
     """
     users = validate_users(users, sset.size)
     L = sset.period
-    _check_budget("correlation values need", L ** len(users), DEFAULT_BUDGET)
+    refuse_past(L ** len(users), DEFAULT_BUDGET, _REFUSAL, need="correlation values need")
     masks = [sset.masks[u - 1] for u in users]
     if len(masks) == 1:
         return {masks[0].bit_count()}

@@ -22,12 +22,13 @@ from fractions import Fraction
 
 from . import analysis, construction, simulator, throughput
 from .core import (
+    DEFAULT_BUDGET,
     MAX_ENTRIES,
     BudgetExceededError,
     SequenceSet,
-    budget_refusal,
     format_sequence_set,
     parse_sequence_set,
+    refuse_past,
 )
 
 SCHEMA = 1
@@ -131,14 +132,9 @@ def _cmd_bound(args) -> int:
     duty = construction.parse_duty_spec(args.duty)
     k = len(duty)
     period = construction.min_period_bound(duty)
-    if args.full and (1 << k) - 1 > MAX_ENTRIES:
-        raise budget_refusal(
-            "{k} users have {subsets} subsets, the limit is {limit}",
-            "{k} users have more subsets than the limit of {limit}",
-            k=k,
-            subsets=(1 << k) - 1,
-            limit=MAX_ENTRIES,
-        )
+    if args.full:
+        message = "{k} users have {amount} subsets, the limit is {limit}"
+        refuse_past((1 << k) - 1, MAX_ENTRIES, message, k=k)
     users = range(1, k + 1)
     if k <= BOUND_LIST_USERS or args.full:
         subsets = [s for m in users for s in itertools.combinations(users, m)]
@@ -408,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify an invariance property")
     p.add_argument("--property", required=True, choices=("si", "pairwise-si", "ti"))
     p.add_argument("--gamma", type=int, default=None)
-    p.add_argument("--budget", type=_budget, default=analysis.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("file", help="sequence set file ('-' for stdin)")
     p.set_defaults(func=_cmd_verify)
 

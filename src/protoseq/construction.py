@@ -20,8 +20,8 @@ from .core import (
     DEFAULT_BUDGET,
     BinarySequence,
     SequenceSet,
-    budget_refusal,
     full_mask,
+    refuse_past,
 )
 
 __all__ = [
@@ -48,6 +48,8 @@ def as_duty_factors(values: Iterable) -> tuple[Fraction, ...]:
             f = Fraction(*v) if isinstance(v, tuple) else Fraction(v)
         except ZeroDivisionError:
             raise ValueError(f"duty factor {v!r} has a zero denominator") from None
+        except OverflowError:
+            raise ValueError(f"duty factor {v!r} is not finite") from None
         if not 0 <= f <= 1:
             raise ValueError(f"duty factor {f} outside [0, 1]")
         out.append(f)
@@ -117,14 +119,8 @@ def _layout(duty: Iterable, fill: str) -> tuple[tuple[Fraction, ...], int]:
     if fill not in ("left", "random"):
         raise ValueError("fill must be 'left' or 'random'")
     L = min_period_bound(duty)
-    if len(duty) * L > DEFAULT_BUDGET:
-        raise budget_refusal(
-            "{k} schedules of period {L} exceed the budget of {budget} slots",
-            "{k} schedules exceed the budget of {budget} slots",
-            k=len(duty),
-            L=L,
-            budget=DEFAULT_BUDGET,
-        )
+    message = "{k} schedules of period {L} exceed the budget of {limit} slots"
+    refuse_past(len(duty) * L, DEFAULT_BUDGET, message, k=len(duty), L=L)
     return duty, L
 
 

@@ -71,21 +71,28 @@ class BudgetExceededError(ProtoseqError):
     """
 
 
-def budget_refusal(*messages: str, **values: object) -> BudgetExceededError:
-    """A ``BudgetExceededError`` whose message is the first of ``messages``
-    that can be printed.
+def refuse_past(
+    amount: int | float, limit: int, message: str, **values: object
+) -> None:
+    """Raise ``BudgetExceededError`` if ``amount`` exceeds ``limit``.
 
-    Each message is a ``str.format`` template over ``values``.  An integer
-    of more digits than ``sys.get_int_max_str_digits()`` cannot be
-    printed, so a template that prints one is passed over for the next;
-    the last template prints no value that can be that long.
+    ``message`` is a ``str.format`` template over ``amount``, ``limit``
+    and ``values``, formatted only on refusal.  An integer of more digits
+    than ``sys.get_int_max_str_digits()`` cannot be printed, so it reads
+    ``at least 2**N`` with N = ``bit_length() - 1``.
     """
-    for message in messages[:-1]:
-        try:
-            return BudgetExceededError(message.format(**values))
-        except ValueError:
-            pass
-    return BudgetExceededError(messages[-1].format(**values))
+    if amount > limit:
+        values.update(amount=amount, limit=limit)
+        raise BudgetExceededError(
+            message.format(**{k: _printable(v) for k, v in values.items()})
+        )
+
+
+def _printable(value: object) -> str:
+    try:
+        return str(value)
+    except ValueError:
+        return f"at least 2**{value.bit_length() - 1}"
 
 
 # ---------------------------------------------------------------------------

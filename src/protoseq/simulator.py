@@ -39,16 +39,17 @@ from math import ceil, log2
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
+    DEFAULT_BUDGET,
     MAX_ENTRIES,
     ProtoseqError,
     SequenceSet,
     ShiftsLike,
     as_shifts,
-    budget_refusal,
+    refuse_past,
     rotate_mask,
     validate_gamma,
 )
-from .analysis import DEFAULT_BUDGET, is_ti, success_counts
+from .analysis import is_ti, success_counts
 from .throughput import ti_throughput
 
 if TYPE_CHECKING:
@@ -239,32 +240,16 @@ def run_monte_carlo(sset: SequenceSet, cfg: SimConfig) -> SimResult:
     K = sset.size
     validate_gamma(cfg.gamma, K)
     L = sset.period
-    entries = cfg.runs * K
-    if entries > MAX_ENTRIES:
-        raise budget_refusal(
-            "{runs} runs need arrays of {entries} entries, the limit is {limit}",
-            "{runs} runs need arrays of more entries than the limit of {limit}",
-            "the runs need arrays of more entries than the limit of {limit}",
-            runs=cfg.runs,
-            entries=entries,
-            limit=MAX_ENTRIES,
-        )
+    message = "{runs} runs need arrays of {amount} entries, the limit is {limit}"
+    refuse_past(cfg.runs * K, MAX_ENTRIES, message, runs=cfg.runs)
     if cfg.scheme == "protocol_sequences":
         counts = _protocol_counts(sset, cfg)
         samples = L
     else:
         samples = cfg.horizon * L
         # the counts and their column sums are int64
-        top = 2**63 - 1
-        if cfg.runs * samples > top:
-            raise budget_refusal(
-                "{runs} runs draw {slots} slots, more than the int64 limit of {top}",
-                "{runs} runs draw more slots than the int64 limit of {top}",
-                "the runs draw more slots than the int64 limit of {top}",
-                runs=cfg.runs,
-                slots=cfg.runs * samples,
-                top=top,
-            )
+        message = "{runs} runs draw {amount} slots, more than the int64 limit of {limit}"
+        refuse_past(cfg.runs * samples, 2**63 - 1, message, runs=cfg.runs)
         counts = _random_access_counts(sset, cfg)
     return SimResult(
         scheme=cfg.scheme,
@@ -420,13 +405,7 @@ def run_session(
     validate_gamma(gamma, K)
     if periods < 1:
         raise ValueError("periods must be at least 1")
-    if periods > sys.maxsize:
-        raise budget_refusal(
-            "{periods} periods exceed the limit of {limit}",
-            "the periods exceed the limit of {limit}",
-            periods=periods,
-            limit=sys.maxsize,
-        )
+    refuse_past(periods, sys.maxsize, "{amount} periods exceed the limit of {limit}")
     if shifts is None:
         if seed is None:
             raise ValueError("either shifts or a seed is required")

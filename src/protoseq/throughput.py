@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, inf, prod
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .core import MAX_ENTRIES, BudgetExceededError, validate_gamma
-from .analysis import DEFAULT_BUDGET, _success_totals
+from .core import DEFAULT_BUDGET, MAX_ENTRIES, refuse_past, validate_gamma
+from .analysis import _success_totals
 from .construction import as_duty_factors, construct_si
 
 if TYPE_CHECKING:
@@ -177,11 +177,12 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     is assumed.  Ties break toward the smaller duty factor.  The search
     itself runs in floating point; the winner is also re-scored exactly
     at nearby rationals for the report.  ``resolution`` must lie in
-    (0, 1], and a coarse grid of more than ``core.MAX_ENTRIES`` steps is
-    refused with ``BudgetExceededError`` before anything is allocated,
-    as is a search of more than ``DEFAULT_BUDGET`` units: gamma terms per
-    grid point, and ``_row_cost`` per exact re-scoring at its largest
-    allowed denominator.  Within that budget every binomial coefficient
+    (0, 1], and a coarse grid of more than ``core.MAX_ENTRIES`` steps
+    (infinitely many at a subnormal resolution) is refused with
+    ``BudgetExceededError`` before anything is allocated, as is a search
+    of more than ``DEFAULT_BUDGET`` units: gamma terms per grid point,
+    and ``_row_cost`` per exact re-scoring at its largest allowed
+    denominator.  Within that budget every binomial coefficient
     of the grid's terms fits a float (they stay below 2^630).
     """
     import numpy as np
@@ -189,18 +190,15 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     validate_gamma(gamma, users)
     if not 0 < resolution <= 1:
         raise ValueError(f"resolution must lie in (0, 1], got {resolution}")
-    steps = max(2, round(1.0 / resolution))
-    if steps > MAX_ENTRIES:
-        raise BudgetExceededError(
-            f"a grid of {steps} steps exceeds the limit of {MAX_ENTRIES}"
-        )
+    steps = 1.0 / resolution  # inf for a subnormal resolution
+    steps = max(2, round(steps)) if steps < inf else steps
+    message = "a grid of {amount} steps exceeds the limit of {limit}"
+    refuse_past(steps, MAX_ENTRIES, message)
     max_denominators = (users, 2 * users, 10, 100, 1000, 10**6)
     cost = (steps + 2001) * gamma
     cost += sum(_row_cost(users, gamma, Fraction(1, q)) for q in max_denominators)
-    if cost > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"the duty search costs more than the budget of {DEFAULT_BUDGET}"
-        )
+    message = "the duty search costs more than the budget of {limit}"
+    refuse_past(cost, DEFAULT_BUDGET, message)
     grid = np.linspace(0.0, 1.0, steps + 1)
     coarse = _symmetric_values(grid, users, gamma)
     best = float(grid[int(np.argmax(coarse))])
@@ -279,14 +277,11 @@ def throughput_curve(
     gammas = tuple(gammas)
     if not gammas or min(gammas) < 1:
         raise ValueError(f"curve capabilities must be at least 1, got {list(gammas)}")
+    message = "the curve's exact sums cost more than the budget of {limit}"
     cost = 0
     for k, g, f in _curve_grid(k_values, gammas, duties):
         cost += _row_cost(k, g, f)
-        if cost > DEFAULT_BUDGET:
-            raise BudgetExceededError(
-                f"the curve's exact sums cost more than the budget of "
-                f"{DEFAULT_BUDGET}"
-            )
+        refuse_past(cost, DEFAULT_BUDGET, message)
     if not cost:
         # every row costs at least 2000 units
         raise ValueError("the curve has no rows: no user count exceeds a capability")

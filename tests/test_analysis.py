@@ -473,10 +473,21 @@ def test_budgets_past_the_digit_limit_still_refuse():
     sset = SequenceSet(
         tuple(BinarySequence.from_mask(rng.getrandbits(10), 10) for _ in range(4400))
     )
-    for verdict in (partial(is_ti, sset, 1), partial(is_si, sset)):
+    # each is printed as the largest power of two not above it
+    cases = (
+        (partial(is_ti, sset, 1), "TI verification needs at least 2**14628"),
+        (partial(is_si, sset), "SI verification needs at least 2**15221"),
+    )
+    for verdict, need in cases:
         with pytest.raises(BudgetExceededError) as exc:
             verdict(budget=10**4350)
-        assert str(exc.value).endswith("more slot evaluations than the budget allows")
+        assert str(exc.value) == f"{need} slot evaluations, budget is at least 2**14450"
+    # L^m = 10^4400 slot evaluations against the printable default budget
+    with pytest.raises(BudgetExceededError) as exc:
+        correlation_values(sset, tuple(range(1, 4401)))
+    assert str(exc.value) == (
+        "correlation values need at least 2**14616 slot evaluations, budget is 100000000"
+    )
 
 
 # ---------------------------------------------------------------------------

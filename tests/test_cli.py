@@ -130,7 +130,9 @@ def test_verify_refusals_past_the_digit_limit_exit_three(capsys, tmp_path, argv)
     code, out, err = run_cli(capsys, "verify", *argv, str(path))
     assert time.monotonic() - start < 1.0
     assert (code, out) == (3, "")
-    assert "more slot evaluations than the budget of" in err
+    need = {"ti": "TI verification needs at least 2**14628",
+            "si": "SI verification needs at least 2**15221"}[argv[1]]
+    assert err == f"error: {need} slot evaluations, budget is 100000000\n"
 
 
 def test_verify_ti_requires_gamma(capsys, worked_file):
@@ -203,7 +205,8 @@ def test_optimal_f_command(capsys):
 
 @pytest.mark.parametrize(
     "resolution, expected",
-    [("1e-12", 3), ("inf", 2), ("nan", 2), ("0", 2), ("5", 2)],
+    [("1e-12", 3), ("9.9e-8", 3), ("1e-308", 3), ("1e-309", 3), ("5e-324", 3),
+     ("inf", 2), ("nan", 2), ("0", 2), ("5", 2)],
 )
 def test_optimal_f_resolution_bounds(capsys, resolution, expected):
     code, out, err = run_cli(capsys, "optimal-f", "--users", "5", "--gamma", "1",
@@ -673,7 +676,8 @@ FUZZED_ARGV = {
         [("--users", st.one_of(_SMALL, _NUMBER, _TEXT)),
          ("--gamma", st.one_of(_SMALL, _NUMBER))],
         [("--resolution", st.sampled_from(
-            ["1e-4", "0.01", "0.5", "1", "0", "-1", "nan", "inf", "1e-12", "x"]))],
+            ["1e-4", "0.01", "0.5", "1", "0", "-1", "nan", "inf", "1e-12", "1e-309",
+             "5e-324", "x"]))],
     ),
     "simulate": command_argv(
         "simulate",
@@ -771,7 +775,7 @@ def test_budget_refusals_past_the_digit_limit_exit_three(capsys, worked_path, ar
     code, out, err = run_cli(capsys, *argv)
     assert time.monotonic() - start < 1.0
     assert (code, out) == (3, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and "at least 2**" in err
     assert "set_int_max_str_digits" not in err
 
 

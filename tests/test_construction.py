@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -100,6 +101,8 @@ def test_duty_factor_validation():
         as_duty_factors(["3/2"])
     with pytest.raises(ValueError):
         as_duty_factors(["-1/2"])
+    with pytest.raises(ValueError):
+        as_duty_factors([math.inf])
     with pytest.raises(ValueError):
         as_duty_factors([])
     with pytest.raises(ValueError):

@@ -251,7 +251,8 @@ def test_monte_carlo_refuses_huge_run_counts_up_front(example_set):
             run_monte_carlo(example_set, cfg)
     # run counts of more digits than an integer may print still refuse
     cfg = SimConfig(gamma=1, runs=10**4400, seed=0)
-    with pytest.raises(BudgetExceededError, match="^the runs need arrays of more"):
+    message = r"^at least 2\*\*14616 runs need arrays of at least 2\*\*14618 entries, "
+    with pytest.raises(BudgetExceededError, match=message + "the limit is 10000000$"):
         run_monte_carlo(example_set, cfg)
 
 
@@ -428,7 +429,8 @@ def test_session_refuses_period_counts_beyond_a_sequence_length(example_set):
     with pytest.raises(BudgetExceededError):
         run_session(example_set, gamma=1, periods=10**30, seed=0)
     # a count of more digits than an integer may print still refuses
-    with pytest.raises(BudgetExceededError, match=f"^the periods exceed the limit of {top}$"):
+    message = rf"^at least 2\*\*14616 periods exceed the limit of {top}$"
+    with pytest.raises(BudgetExceededError, match=message):
         run_session(example_set, gamma=1, periods=10**4400, seed=0)
     report = run_session(example_set, gamma=1, periods=top, seed=0, trust_ti=True)
     assert {len(o) for o in report.per_user} <= {top, top - 1}
