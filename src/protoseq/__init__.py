@@ -15,13 +15,10 @@ from .core import (
     BinarySequence,
     BudgetExceededError,
     ProtoseqError,
-    Rational,
     SequenceSet,
-    ShiftAssignment,
     ThetaProfile,
     count_config,
     cyclic_shift,
-    duty_factor,
     format_sequence_set,
     hamming_cross_correlation,
     parse_sequence_set,
@@ -80,6 +77,5 @@ from .simulator import (
     run_monte_carlo,
     run_session,
 )
-from .reference import SessionPacket
 
 __version__ = "0.1.0"

@@ -47,7 +47,6 @@ from .core import (
     BinarySequence,
     ProtoseqError,
     SequenceSet,
-    ShiftsLike,
     ThetaProfile,
     as_shifts,
     at_most_mask,
@@ -56,6 +55,8 @@ from .core import (
     hamming_cross_correlation,
     refuse_past,
     rotate_mask,
+    rotated_masks,
+    success_counts,
     theta_profile,
     validate_gamma,
     validate_users,
@@ -171,16 +172,8 @@ class SearchResult:
 # throughput at fixed shifts
 
 
-def success_counts(masks: Sequence[int], gamma: int, period: int) -> tuple[int, ...]:
-    """Per-user count of slots where the user fires with at most gamma
-    transmitters in total (itself included)."""
-    planes = count_planes(masks)
-    ok = at_most_mask(planes, gamma, period)
-    return tuple((m & ok).bit_count() for m in masks)
-
-
 def throughput_at(
-    sset: SequenceSet, shifts: ShiftsLike, gamma: int
+    sset: SequenceSet, shifts: Sequence[int], gamma: int
 ) -> tuple[Fraction, ...]:
     """Exact per-user throughput of the set at one shift assignment.
 
@@ -188,11 +181,9 @@ def throughput_at(
     transmits and at most gamma - 1 other users do; the period times any
     returned value is always an integer.
     """
-    K = sset.size
     L = sset.period
-    validate_gamma(gamma, K)
-    taus = as_shifts(shifts, L, K)
-    masks = [rotate_mask(m, t, L) for m, t in zip(sset.masks, taus)]
+    validate_gamma(gamma, sset.size)
+    masks = rotated_masks(sset.masks, shifts, L)
     return tuple(Fraction(c, L) for c in success_counts(masks, gamma, L))
 
 
@@ -544,7 +535,7 @@ def verify_witness(sset: SequenceSet, verdict: PropertyVerdict) -> bool:
         users = validate_users(w.users, K)
         members = [masks[u - 1] for u in users]
 
-        def value(shifts: ShiftsLike) -> int:
+        def value(shifts: Sequence[int]) -> int:
             acc = -1  # every bit set, so the first AND keeps the first mask
             for mask, tau in zip(members, as_shifts(shifts, L, len(users))):
                 acc &= rotate_mask(mask, tau, L)
@@ -562,7 +553,7 @@ def verify_witness(sset: SequenceSet, verdict: PropertyVerdict) -> bool:
             raise ValueError(f"a TI witness names exactly one user: {users}")
         i = users[0] - 1
 
-        def value(shifts: ShiftsLike) -> int:
+        def value(shifts: Sequence[int]) -> int:
             taus = as_shifts(shifts, L, K)
             rotated = [rotate_mask(mask, tau, L) for mask, tau in zip(masks, taus)]
             ok = at_most_mask(count_planes(rotated), gamma, L)
@@ -589,8 +580,8 @@ def verify_witness(sset: SequenceSet, verdict: PropertyVerdict) -> bool:
 def delta_record(
     sset: SequenceSet,
     users: Sequence[int],
-    from_shifts: ShiftsLike,
-    to_shifts: ShiftsLike,
+    from_shifts: Sequence[int],
+    to_shifts: Sequence[int],
 ) -> DeltaRecord:
     """Bucket-by-bucket histogram change between two shift vectors."""
     users = validate_users(users, sset.size)
@@ -624,8 +615,8 @@ def _require_subsets_si(
 def check_lemma_delta(
     sset: SequenceSet,
     users: Sequence[int],
-    from_shifts: ShiftsLike,
-    to_shifts: ShiftsLike,
+    from_shifts: Sequence[int],
+    to_shifts: Sequence[int],
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Check the forced shape of histogram changes on an almost-SI tuple.
@@ -652,9 +643,9 @@ def check_lemma_theta(
     sset: SequenceSet,
     split_m: int,
     gamma: int,
-    from_shifts: ShiftsLike,
-    to_shifts: ShiftsLike,
-    tail_shifts: ShiftsLike = (),
+    from_shifts: Sequence[int],
+    to_shifts: Sequence[int],
+    tail_shifts: Sequence[int] = (),
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Check the head-delta, tail-histogram orthogonality identity.

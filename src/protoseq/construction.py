@@ -50,6 +50,8 @@ def as_duty_factors(values: Iterable) -> tuple[Fraction, ...]:
             raise ValueError(f"duty factor {v!r} has a zero denominator") from None
         except OverflowError:
             raise ValueError(f"duty factor {v!r} is not finite") from None
+        except TypeError:
+            raise ValueError(f"duty factor {v!r} is not a number or an integer pair") from None
         if not 0 <= f <= 1:
             raise ValueError(f"duty factor {f} outside [0, 1]")
         out.append(f)

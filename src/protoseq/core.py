@@ -13,6 +13,12 @@ accumulated in bit-sliced counter planes.  Ratios are
 `fractions.Fraction` values; this module contains no floating point.
 A deliberately naive slot-by-slot mirror of these operations lives in
 `protoseq.reference` for differential testing.
+
+This module owns the fixed-shift primitives that every other module
+calls: a shift vector is any sequence of ints, ``as_shifts`` reduces it
+into the period, ``rotated_masks`` rotates a list of masks to it, and
+``success_counts`` counts each user's slots with at most gamma
+transmitters among the rotated masks.
 """
 
 from __future__ import annotations
@@ -21,29 +27,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import lt
-from typing import Iterable, Sequence, Union
-
-#: Exact ratio type used for duty factors and throughputs.
-Rational = Fraction
+from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "DEFAULT_BUDGET",
     "ProtoseqError",
     "BudgetExceededError",
     "BinarySequence",
     "SequenceSet",
-    "ShiftAssignment",
     "ThetaProfile",
-    "duty_factor",
     "cyclic_shift",
     "count_config",
     "hamming_cross_correlation",
     "theta_profile",
     "full_mask",
     "rotate_mask",
+    "rotated_masks",
     "count_planes",
     "at_most_mask",
+    "success_counts",
     "exact_count_mask",
     "parse_sequence_set",
     "format_sequence_set",
@@ -138,22 +140,35 @@ def count_planes(masks: Iterable[int]) -> list[int]:
 
 
 def at_most_mask(planes: Sequence[int], limit: int, period: int) -> int:
-    """Mask of slots whose bit-sliced count is <= limit."""
+    """Mask of slots whose bit-sliced count is <= limit.
+
+    A count exceeds ``limit`` exactly when, at some plane k where
+    ``limit`` has a zero, the count has a one and also has a one at every
+    higher plane where ``limit`` has one.  Only ``&``, ``|`` and ``~``
+    touch the planes, so the Monte-Carlo kernel passes numpy arrays of
+    64-bit words with a period of 64.
+    """
     if limit < 0:
         return 0
-    if limit >> len(planes):
-        return full_mask(period)
     full = full_mask(period)
+    if limit >> len(planes):
+        return full
     greater = 0
-    equal = full
+    covers = full  # a one wherever limit has one, in the planes above k
     for k in range(len(planes) - 1, -1, -1):
-        p = planes[k]
         if (limit >> k) & 1:
-            equal &= p
+            covers &= planes[k]
         else:
-            greater |= equal & p
-            equal &= ~p & full
+            greater |= covers & planes[k]
     return full & ~greater
+
+
+def success_counts(masks: Sequence[int], gamma: int, period: int) -> tuple[int, ...]:
+    """Per-user count of slots where the user fires with at most gamma
+    transmitters in total (itself included)."""
+    planes = count_planes(masks)
+    ok = at_most_mask(planes, gamma, period)
+    return tuple((m & ok).bit_count() for m in masks)
 
 
 def exact_count_mask(planes: Sequence[int], j: int, period: int) -> int:
@@ -292,30 +307,6 @@ class SequenceSet:
 
 
 @dataclass(frozen=True)
-class ShiftAssignment:
-    """Cyclic offsets, one per user, reduced to [0, period)."""
-
-    shifts: tuple[int, ...]
-    period: int
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        object.__setattr__(
-            self, "shifts", tuple(int(s) % self.period for s in self.shifts)
-        )
-
-    def __len__(self) -> int:
-        return len(self.shifts)
-
-    def __iter__(self):
-        return iter(self.shifts)
-
-
-ShiftsLike = Union[ShiftAssignment, Sequence[int]]
-
-
-@dataclass(frozen=True)
 class ThetaProfile:
     """Histogram of slots by how many tuple members transmit in them.
 
@@ -386,14 +377,9 @@ def validate_gamma(gamma: int, size: int) -> None:
         raise ValueError(f"gamma must satisfy 1 <= gamma < K={size}")
 
 
-def as_shifts(shifts: ShiftsLike, period: int, expected: int) -> tuple[int, ...]:
+def as_shifts(shifts: Sequence[int], period: int, expected: int) -> tuple[int, ...]:
     """Normalize shifts to [0, period) and check their count."""
-    if isinstance(shifts, ShiftAssignment):
-        if shifts.period != period:
-            raise ValueError("shift assignment period does not match the set")
-        values = shifts.shifts
-    else:
-        values = tuple([int(s) % period for s in shifts])
+    values = tuple([int(s) % period for s in shifts])
     if len(values) != expected:
         raise ValueError(f"expected {expected} shifts, got {len(values)}")
     return values
@@ -403,9 +389,13 @@ def as_shifts(shifts: ShiftsLike, period: int, expected: int) -> tuple[int, ...]
 # operations
 
 
-def duty_factor(seq: BinarySequence) -> Fraction:
-    """Fraction of ones per period, in lowest terms."""
-    return seq.duty
+def rotated_masks(
+    masks: Sequence[int], shifts: Sequence[int], period: int
+) -> list[int]:
+    """Each mask rotated by its shift (see ``rotate_mask``), after
+    ``as_shifts`` has checked one shift per mask."""
+    taus = as_shifts(shifts, period, len(masks))
+    return [rotate_mask(m, tau, period) for m, tau in zip(masks, taus)]
 
 
 def cyclic_shift(seq: BinarySequence, tau: int) -> BinarySequence:
@@ -418,7 +408,7 @@ def cyclic_shift(seq: BinarySequence, tau: int) -> BinarySequence:
 
 
 def count_config(
-    sset: SequenceSet, shifts: ShiftsLike, pattern: Sequence[int]
+    sset: SequenceSet, shifts: Sequence[int], pattern: Sequence[int]
 ) -> int:
     """Number of slots where each shifted user matches its pattern bit.
 
@@ -428,7 +418,7 @@ def count_config(
     """
     K = sset.size
     L = sset.period
-    taus = as_shifts(shifts, L, K)
+    masks = rotated_masks(sset.masks, shifts, L)
     pat = tuple(int(b) for b in pattern)
     if len(pat) != K:
         raise ValueError(f"pattern length {len(pat)} does not match K={K}")
@@ -436,8 +426,7 @@ def count_config(
         raise ValueError("pattern entries must be 0 or 1")
     full = full_mask(L)
     acc = full
-    for seq, tau, b in zip(sset.sequences, taus, pat):
-        m = rotate_mask(seq.mask, tau, L)
+    for m, b in zip(masks, pat):
         acc &= m if b else ~m & full
         if not acc:
             return 0
@@ -445,19 +434,15 @@ def count_config(
 
 
 def _tuple_masks(
-    sset: SequenceSet, users: Sequence[int], shifts: ShiftsLike
+    sset: SequenceSet, users: Sequence[int], shifts: Sequence[int]
 ) -> list[int]:
     users = validate_users(users, sset.size)
-    L = sset.period
-    taus = as_shifts(shifts, L, len(users))
-    return [
-        rotate_mask(sset.sequences[u - 1].mask, tau, L)
-        for u, tau in zip(users, taus)
-    ]
+    masks = sset.masks
+    return rotated_masks([masks[u - 1] for u in users], shifts, sset.period)
 
 
 def hamming_cross_correlation(
-    sset: SequenceSet, users: Sequence[int], shifts: ShiftsLike
+    sset: SequenceSet, users: Sequence[int], shifts: Sequence[int]
 ) -> int:
     """Slots in which every member of the (shifted) user tuple transmits.
 
@@ -474,7 +459,7 @@ def hamming_cross_correlation(
 
 
 def theta_profile(
-    sset: SequenceSet, users: Sequence[int], shifts: ShiftsLike
+    sset: SequenceSet, users: Sequence[int], shifts: Sequence[int]
 ) -> ThetaProfile:
     """Per-slot histogram of simultaneous ones among a shifted user tuple.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import SequenceSet, ShiftsLike, as_shifts, validate_users
+from .core import SequenceSet, as_shifts, validate_users
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def _rotated(bits: tuple[int, ...], tau: int) -> tuple[int, ...]:
     return bits[tau:] + bits[:tau]
 
 
-def count_config(sset: SequenceSet, shifts: ShiftsLike, pattern: Sequence[int]) -> int:
+def count_config(sset: SequenceSet, shifts: Sequence[int], pattern: Sequence[int]) -> int:
     L = sset.period
     taus = as_shifts(shifts, L, sset.size)
     pat = tuple(int(b) for b in pattern)
@@ -51,7 +51,7 @@ def count_config(sset: SequenceSet, shifts: ShiftsLike, pattern: Sequence[int]) 
 
 
 def hamming_cross_correlation(
-    sset: SequenceSet, users: Sequence[int], shifts: ShiftsLike
+    sset: SequenceSet, users: Sequence[int], shifts: Sequence[int]
 ) -> int:
     users = validate_users(users, sset.size)
     taus = as_shifts(shifts, sset.period, len(users))
@@ -64,7 +64,7 @@ def hamming_cross_correlation(
 
 
 def theta_counts(
-    sset: SequenceSet, users: Sequence[int], shifts: ShiftsLike
+    sset: SequenceSet, users: Sequence[int], shifts: Sequence[int]
 ) -> tuple[int, ...]:
     users = validate_users(users, sset.size)
     L = sset.period
@@ -79,7 +79,7 @@ def theta_counts(
 
 
 def throughput_at(
-    sset: SequenceSet, shifts: ShiftsLike, gamma: int
+    sset: SequenceSet, shifts: Sequence[int], gamma: int
 ) -> tuple[Fraction, ...]:
     K = sset.size
     L = sset.period
@@ -101,7 +101,7 @@ def session_receive(
     sset: SequenceSet,
     gamma: int,
     periods: int,
-    shifts: ShiftsLike,
+    shifts: Sequence[int],
     required: Sequence[int],
 ) -> tuple[tuple[Counter, ...], tuple[set[int], ...], bool]:
     """Play ``periods`` periods of slots through the receive chain.

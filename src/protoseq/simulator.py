@@ -35,7 +35,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, repeat
-from math import ceil, log2
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -43,13 +42,14 @@ from .core import (
     MAX_ENTRIES,
     ProtoseqError,
     SequenceSet,
-    ShiftsLike,
     as_shifts,
+    at_most_mask,
     refuse_past,
-    rotate_mask,
+    rotated_masks,
+    success_counts,
     validate_gamma,
 )
-from .analysis import is_ti, success_counts
+from .analysis import is_ti
 from .throughput import ti_throughput
 
 if TYPE_CHECKING:
@@ -154,8 +154,8 @@ def _protocol_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
     ``m | m << L``, which is ``rotate_mask(m, tau, L)``.  A row is cut
     from the doubled mask's little-endian 64-bit words by a funnel shift,
     and the rows of a batch of runs are summed in bit-sliced planes
-    (the ripple of ``core.count_planes``) and compared with gamma (as in
-    ``core.at_most_mask``), all elementwise on numpy arrays.
+    (the ripple of ``core.count_planes``) and compared with gamma by
+    ``core.at_most_mask``, all elementwise on numpy arrays.
     """
     import numpy as np
 
@@ -188,17 +188,8 @@ def _protocol_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
                 planes[k], carry = p ^ carry, p & carry
             if n.bit_length() > len(planes):
                 planes.append(carry)
-        # a count exceeds gamma at the first plane from the top where it
-        # has a one, gamma a zero, and no higher plane has fallen below
-        # gamma; gamma < K < 2 ** len(planes), so every plane takes part
-        greater = np.zeros_like(rows[0])
-        at_least = ~greater
-        for k in range(len(planes) - 1, -1, -1):
-            if (gamma >> k) & 1:
-                at_least &= planes[k]
-            else:
-                greater |= at_least & planes[k]
-        counts[start:start + batch] = np.bitwise_count(rows & ~greater).sum(axis=1).T
+        ok = at_most_mask(planes, gamma, 64)
+        counts[start:start + batch] = np.bitwise_count(rows & ok).sum(axis=1).T
     return counts
 
 
@@ -378,7 +369,7 @@ def run_session(
     gamma: int,
     periods: int,
     seed: int | None = 0,
-    shifts: ShiftsLike | None = None,
+    shifts: Sequence[int] | None = None,
     trust_ti: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> SessionReport:
@@ -422,13 +413,11 @@ def run_session(
                 f"witness {verdict.witness}"
             )
     code = ErasureCodeSpec.from_set(sset, gamma)
-    header_bits = 1 + ceil(log2(K)) if K > 1 else 1
+    header_bits = 1 + (K - 1).bit_length()
 
     # every complete period repeats slot for slot, so one count at the
     # drawn shifts gives each user's survivors in every judged period
-    counts = success_counts(
-        [rotate_mask(m, tau, L) for m, tau in zip(sset.masks, taus)], gamma, L
-    )
+    counts = success_counts(rotated_masks(sset.masks, taus, L), gamma, L)
     per_user = tuple(
         PeriodOutcomes(u + 1, 0 if tau == 0 else 1, periods, sent, survived,
                        survived >= required)

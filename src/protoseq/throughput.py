@@ -190,7 +190,7 @@ def optimal_duty(users: int, gamma: int, resolution: float = 1e-4) -> OptimalDut
     validate_gamma(gamma, users)
     if not 0 < resolution <= 1:
         raise ValueError(f"resolution must lie in (0, 1], got {resolution}")
-    steps = 1.0 / resolution  # inf for a subnormal resolution
+    steps = 1 / resolution  # inf for a subnormal float, exact for a Fraction
     steps = max(2, round(steps)) if steps < inf else steps
     message = "a grid of {amount} steps exceeds the limit of {limit}"
     refuse_past(steps, MAX_ENTRIES, message)

@@ -14,8 +14,7 @@ from protoseq import (
     count_config,
 )
 from protoseq import simulator
-from protoseq.analysis import success_counts
-from protoseq.core import rotate_mask
+from protoseq.core import rotate_mask, success_counts
 
 
 #: The smallest known pairwise-SI triple that is not SI (period 12).

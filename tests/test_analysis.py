@@ -160,6 +160,15 @@ def test_is_ti_rejects_aligned_pair():
     assert verify_witness(ALIGNED_PAIR, verdict)
 
 
+def test_verify_witness_is_false_without_a_witness_or_a_capability(example_set):
+    # a positive verdict carries no witness to re-check
+    assert not verify_witness(example_set, is_si(example_set))
+    assert not verify_witness(example_set, is_ti(example_set, 1))
+    # a TI witness is only a counterexample at a stated capability
+    verdict = dataclasses.replace(is_ti(ALIGNED_PAIR, 1), gamma=None)
+    assert not verify_witness(ALIGNED_PAIR, verdict)
+
+
 @pytest.mark.parametrize("users", [(0,), (3,), (1, 2)])
 def test_verify_witness_rejects_malformed_ti_users(users):
     # user 0 would read user K, user K + 1 lies past the set, and a TI
@@ -604,6 +613,9 @@ def test_structural_hypotheses_arithmetic():
     assert structural_hypotheses(4, 2, [Fraction(1, 2), Fraction(1, 3),
                                         Fraction(1, 2), Fraction(1, 2)]) == ()
     assert structural_hypotheses(4, 2, [Fraction(1)] * 4) == ()
+    # K-3 = 9 and 11 reach the trial division of the primality test
+    assert structural_hypotheses(12, 3, [Fraction(1, 5)] * 12) == ()
+    assert "gamma=3" in structural_hypotheses(14, 3, [Fraction(1, 5)] * 14)
     with pytest.raises(ValueError):
         structural_hypotheses(4, 4, third)
 
@@ -634,6 +646,19 @@ def test_structural_conclusion_non_ti_set():
     assert not report.ti.holds
     assert report.applicable == ()
     assert report.si is None
+
+
+@pytest.mark.parametrize("duty, notes", [
+    (("1/2", "1/3", "1/2", "1/3"), (
+        "users have unequal duty factors; the common-duty implications do not apply",
+        "no structural implication applies at this capability",
+    )),
+    (("1/2",) * 4, ("no structural implication applies at this capability",)),
+])
+def test_structural_conclusion_notes_when_nothing_applies(duty, notes):
+    report = structural_conclusion(construct_si(duty), 2)
+    assert report.ti.holds
+    assert (report.applicable, report.si, report.notes) == ((), None, notes)
 
 
 def test_structural_conclusion_zero_throughput_note():

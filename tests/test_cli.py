@@ -71,6 +71,13 @@ def test_verify_si_holds(capsys, worked_file):
     assert payload["configurations_checked"] == 813
 
 
+def test_verify_reads_the_set_from_stdin(capsys, monkeypatch, worked_file):
+    expected = run_cli(capsys, "verify", "--property", "si", worked_file)
+    rows = "".join(r + "\n" for r in WORKED_ROWS)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(rows))
+    assert run_cli(capsys, "verify", "--property", "si", "-") == expected
+
+
 def test_verify_ti_violation_exits_one(capsys, tmp_path):
     path = tmp_path / "pair.psq"
     path.write_text("10\n10\n")
@@ -330,11 +337,12 @@ def test_python_m_protoseq_runs_the_command_line(capsys):
 
 
 # Runs each argv given as a JSON list through cli.main in one interpreter and
-# prints, after the import and after each command, whether numpy is loaded.
+# prints whether numpy is loaded after each command, and after the import
+# whether numpy and the test oracle protoseq.reference are.
 _FOOTPRINT = """
 import contextlib, io, json, sys
 from protoseq import cli
-print("import", "numpy" in sys.modules)
+print("import", "numpy" in sys.modules, "protoseq.reference" in sys.modules)
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -365,17 +373,17 @@ def test_only_monte_carlo_and_duty_search_load_numpy(worked_file):
         ["verify", "--property", "si", worked_file],
         ["simulate", "--gamma", "2", "--runs", "100", "--seed", "5", worked_file],
     ) == [
-        "import False", "example 0 False", "construct 0 False", "bound 0 False",
+        "import False False", "example 0 False", "construct 0 False", "bound 0 False",
         "throughput 0 False", "curve 0 False", "verify 0 False", "verify 0 False",
         "simulate 0 True",
     ]
     assert footprint(["optimal-f", "--users", "5", "--gamma", "1"]) == [
-        "import False", "optimal-f 0 True",
+        "import False False", "optimal-f 0 True",
     ]
     # a session draws its shifts from the seeded Philox generator
     assert footprint(
         ["session", "--gamma", "1", "--periods", "6", "--seed", "2", worked_file]
-    ) == ["import False", "session 0 True"]
+    ) == ["import False False", "session 0 True"]
 
 
 def test_round_trip_verdicts_match_in_memory(capsys, tmp_path):

@@ -103,6 +103,10 @@ def test_duty_factor_validation():
         as_duty_factors(["-1/2"])
     with pytest.raises(ValueError):
         as_duty_factors([math.inf])
+    # inputs that Fraction rejects with TypeError
+    for bad in ((1.5, 2), (math.inf, 1), (1, 2, 3), None, 1j):
+        with pytest.raises(ValueError):
+            as_duty_factors([bad])
     with pytest.raises(ValueError):
         as_duty_factors([])
     with pytest.raises(ValueError):

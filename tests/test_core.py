@@ -8,22 +8,22 @@ import pytest
 from protoseq import (
     BinarySequence,
     SequenceSet,
-    ShiftAssignment,
     count_config,
     cyclic_shift,
-    duty_factor,
     format_sequence_set,
     hamming_cross_correlation,
     parse_sequence_set,
     theta_profile,
 )
-from protoseq import reference
+from protoseq import analysis, reference
 from protoseq.core import (
     as_shifts,
     at_most_mask,
     count_planes,
     exact_count_mask,
     rotate_mask,
+    rotated_masks,
+    success_counts,
     validate_users,
 )
 
@@ -39,13 +39,13 @@ def seq(text):
 
 
 def test_duty_factor_examples():
-    assert duty_factor(seq("110")) == Fraction(2, 3)
-    assert duty_factor(seq("0000")) == Fraction(0, 1)
-    assert duty_factor(seq("101010")) == Fraction(1, 2)
+    assert seq("110").duty == Fraction(2, 3)
+    assert seq("0000").duty == Fraction(0, 1)
+    assert seq("101010").duty == Fraction(1, 2)
 
 
 def test_duty_factor_lowest_terms():
-    f = duty_factor(seq("110100"))  # 3 ones over 6 slots
+    f = seq("110100").duty  # 3 ones over 6 slots
     assert (f.numerator, f.denominator) == (1, 2)
 
 
@@ -246,6 +246,23 @@ def test_rotate_mask_matches_cyclic_shift():
         assert rotate_mask(s.mask, tau, L) == cyclic_shift(s, tau).mask
 
 
+def test_rotated_masks_rotates_each_mask_to_its_shift():
+    rng = random.Random(10)
+    for _ in range(40):
+        L = rng.randint(1, 12)
+        masks = [rng.getrandbits(L) for _ in range(rng.randint(0, 4))]
+        shifts = [rng.randint(-L, 3 * L) for _ in masks]
+        assert rotated_masks(masks, shifts, L) == [
+            rotate_mask(m, tau, L) for m, tau in zip(masks, shifts)
+        ]
+    with pytest.raises(ValueError, match="expected 2 shifts, got 1"):
+        rotated_masks([1, 2], (0,), 3)
+
+
+def test_analysis_keeps_the_core_success_counts():
+    assert analysis.success_counts is success_counts
+
+
 # ---------------------------------------------------------------------------
 # types and the text format
 
@@ -335,9 +352,6 @@ def test_validate_users_returns_an_int_tuple(users, expected):
 @pytest.mark.parametrize("shifts, period, expected, message", [
     ((0, 1, 2), 4, 2, "expected 2 shifts, got 3"),
     ((), 4, 1, "expected 1 shifts, got 0"),
-    (ShiftAssignment((0, 1), period=3), 4, 2,
-     "shift assignment period does not match the set"),
-    (ShiftAssignment((0, 1), period=4), 4, 3, "expected 3 shifts, got 2"),
 ])
 def test_as_shifts_messages(shifts, period, expected, message):
     with pytest.raises(ValueError) as info:
@@ -348,14 +362,6 @@ def test_as_shifts_messages(shifts, period, expected, message):
 def test_as_shifts_reduces_into_the_period():
     assert as_shifts((-1, 5, 3, "2"), 3, 4) == (2, 2, 0, 2)
     assert as_shifts(iter([7]), 4, 1) == (3,)
-    assert as_shifts(ShiftAssignment((-1, 5), period=3), 3, 2) == (2, 2)
-
-
-def test_shift_assignment_normalizes():
-    sa = ShiftAssignment((-1, 5, 3), period=3)
-    assert sa.shifts == (2, 2, 0)
-    with pytest.raises(ValueError):
-        ShiftAssignment((0,), period=0)
 
 
 def test_text_format_round_trip(example_set):

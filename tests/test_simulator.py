@@ -19,8 +19,7 @@ from protoseq import (
     symmetric_throughput,
 )
 from protoseq import reference, simulator
-from protoseq.analysis import success_counts
-from protoseq.core import rotate_mask
+from protoseq.core import rotate_mask, success_counts
 
 from helpers import (
     eager_session_records,

@@ -202,9 +202,12 @@ def test_optimal_duty_validation():
     for resolution in (0, -1e-3, 5, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             optimal_duty(5, 1, resolution)
-    # refused before the grid is allocated
+    # refused before the grid is allocated, also at a Fraction resolution
+    # below the smallest float
     with pytest.raises(BudgetExceededError):
         optimal_duty(5, 1, 1e-12)
+    with pytest.raises(BudgetExceededError):
+        optimal_duty(3, 1, Fraction(1, 10**400))
 
 
 class _GridReached(Exception):
