@@ -36,7 +36,7 @@ for users in [(1, 2), (2, 3), (1, 3), (1, 2, 3)]:
     print(f"  H{users} = {sorted(values)}")
 
 profile = theta_profile(sset, (1, 2, 3), (0, 0, 0))
-print("\nslots by number of simultaneous transmitters:", profile.counts)
+print("\nslots by number of simultaneous transmitters:", profile)
 
 print("\nexhaustive verdicts:")
 print("  shift-invariant:", is_si(sset).holds)

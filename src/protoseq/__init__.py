@@ -16,7 +16,6 @@ from .core import (
     BudgetExceededError,
     ProtoseqError,
     SequenceSet,
-    ThetaProfile,
     count_config,
     cyclic_shift,
     format_sequence_set,

@@ -47,11 +47,9 @@ from .core import (
     BinarySequence,
     ProtoseqError,
     SequenceSet,
-    ThetaProfile,
     as_shifts,
     at_most_mask,
     count_planes,
-    exact_count_mask,
     hamming_cross_correlation,
     refuse_past,
     rotate_mask,
@@ -323,8 +321,9 @@ def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
     at most gamma - 1 of them fire (``room``) lets every packet through
     whatever the last user does, and a slot where exactly gamma of them
     fire (``edge``) lets theirs through only while the last user is
-    silent.  One product per user then scores every shift of the last
-    user at once.
+    silent.  Both come from ``at_most_mask``: ``fits``, the slots where at
+    most gamma of them fire, is ``room`` and ``edge`` together.  One
+    product per user then scores every shift of the last user at once.
     """
     K = sset.size
     L = sset.period
@@ -337,14 +336,18 @@ def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
     def score(first: int, rotated: Sequence[int], last: int) -> list[int]:
         head = (first, *rotated)
         planes = count_planes(head)
-        room = at_most_mask(planes, gamma - 1, lanes.bits) & ones
-        edge = exact_count_mask(planes, gamma, lanes.bits)
+        room = at_most_mask(planes, gamma - 1, lanes.bits)
+        fits = at_most_mask(planes, gamma, lanes.bits)
+        # fits holds room, so this leaves the slots with exactly gamma;
+        # the bits between lanes count zero, fall in both and cancel
+        edge = fits ^ room
+        room &= ones
         columns = []
         for m in head:
             # successes while the last user is silent, less the edge slots
             # lost where the last user fires too
             e = m & edge
-            base = (m & room).bit_count() + e.bit_count()
+            base = (m & fits).bit_count()
             columns.append(base * ones - column(e, last))
         columns.append(column(room, last))
         return columns
@@ -590,7 +593,7 @@ def delta_record(
     L = sset.period
     src = theta_profile(sset, users, from_shifts)
     dst = theta_profile(sset, users, to_shifts)
-    deltas = tuple(b - a for a, b in zip(src.counts, dst.counts))
+    deltas = tuple(b - a for a, b in zip(src, dst))
     return DeltaRecord(
         users=users,
         from_shifts=as_shifts(from_shifts, L, len(users)),
@@ -675,12 +678,11 @@ def check_lemma_theta(
     h_to = hamming_cross_correlation(sset, head, to_shifts)
     delta_top = h_to - h_from
     tail = tuple(range(split_m + 1, K + 1))
-    if tail:
-        profile = theta_profile(sset, tail, tail_shifts)
-    else:
-        profile = ThetaProfile((L,))
+    profile = theta_profile(sset, tail, tail_shifts) if tail else (L,)
     total = sum(
-        (-1) ** (split_m - i) * comb(split_m - 2, i - 1) * profile.count(gamma - i)
+        (-1) ** (split_m - i)
+        * comb(split_m - 2, i - 1)
+        * (profile[gamma - i] if 0 <= gamma - i < len(profile) else 0)
         for i in range(1, split_m)
     )
     return delta_top * total == 0
@@ -721,10 +723,13 @@ def structural_hypotheses(
     the caller.  The leading-capability implications need no duty
     condition; the tagged ones need a shared duty factor n/d outside
     {0, 1}, an odd prime for the K-3 conditions (so that half of K-2 is
-    an integer), and the stated gcd to be one.
+    an integer), and the stated gcd to be one.  ``duty_factors`` holds
+    one factor per user.
     """
     K = size
     validate_gamma(gamma, K)
+    if len(duty_factors) != K:
+        raise ValueError(f"expected {K} duty factors, got {len(duty_factors)}")
     tags: list[str] = []
     if gamma == 1:
         tags.append("gamma=1")

@@ -18,7 +18,10 @@ This module owns the fixed-shift primitives that every other module
 calls: a shift vector is any sequence of ints, ``as_shifts`` reduces it
 into the period, ``rotated_masks`` rotates a list of masks to it, and
 ``success_counts`` counts each user's slots with at most gamma
-transmitters among the rotated masks.
+transmitters among the rotated masks.  ``at_most_mask`` is the only
+comparator of bit-sliced counter planes with a count: a success is a
+slot with at most gamma transmitters, and ``theta_profile`` takes the
+differences of its popcounts at successive limits.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -35,7 +39,6 @@ __all__ = [
     "BudgetExceededError",
     "BinarySequence",
     "SequenceSet",
-    "ThetaProfile",
     "cyclic_shift",
     "count_config",
     "hamming_cross_correlation",
@@ -46,7 +49,6 @@ __all__ = [
     "count_planes",
     "at_most_mask",
     "success_counts",
-    "exact_count_mask",
     "parse_sequence_set",
     "format_sequence_set",
 ]
@@ -146,7 +148,9 @@ def at_most_mask(planes: Sequence[int], limit: int, period: int) -> int:
     ``limit`` has a zero, the count has a one and also has a one at every
     higher plane where ``limit`` has one.  Only ``&``, ``|`` and ``~``
     touch the planes, so the Monte-Carlo kernel passes numpy arrays of
-    64-bit words with a period of 64.
+    64-bit words with a period of 64.  It is the only comparator of
+    counter planes: a slot with exactly j counts is in the mask at j and
+    not at j - 1, which is how ``theta_profile`` and the TI sweep read it.
     """
     if limit < 0:
         return 0
@@ -169,17 +173,6 @@ def success_counts(masks: Sequence[int], gamma: int, period: int) -> tuple[int, 
     planes = count_planes(masks)
     ok = at_most_mask(planes, gamma, period)
     return tuple((m & ok).bit_count() for m in masks)
-
-
-def exact_count_mask(planes: Sequence[int], j: int, period: int) -> int:
-    """Mask of slots whose bit-sliced count is exactly j."""
-    if j < 0 or (j >> len(planes)):
-        return 0
-    full = full_mask(period)
-    m = full
-    for k, p in enumerate(planes):
-        m &= p if (j >> k) & 1 else ~p & full
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -306,53 +299,6 @@ class SequenceSet:
         return SequenceSet(tuple(self.sequences[u - 1] for u in users))
 
 
-@dataclass(frozen=True)
-class ThetaProfile:
-    """Histogram of slots by how many tuple members transmit in them.
-
-    ``counts[j]`` is the number of slots in one period where exactly j of
-    the (shifted) tuple members have a one.  Prefix and suffix sums are
-    exposed because threshold counts of this histogram drive all the
-    throughput and invariance arguments.
-    """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        if not counts or any(c < 0 for c in counts):
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def period(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def tuple_size(self) -> int:
-        return len(self.counts) - 1
-
-    def count(self, j: int) -> int:
-        """counts[j], or 0 outside the histogram range."""
-        if 0 <= j <= self.tuple_size:
-            return self.counts[j]
-        return 0
-
-    def at_most(self, j: int) -> int:
-        """Slots with at most j ones among the tuple members."""
-        if j < 0:
-            return 0
-        return sum(self.counts[: min(j, self.tuple_size) + 1])
-
-    def at_least(self, j: int) -> int:
-        """Slots with at least j ones among the tuple members."""
-        if j <= 0:
-            return self.period
-        if j > self.tuple_size:
-            return 0
-        return sum(self.counts[j:])
-
-
 # ---------------------------------------------------------------------------
 # validation helpers
 
@@ -372,7 +318,10 @@ def validate_users(users: Sequence[int], size: int) -> tuple[int, ...]:
 
 
 def validate_gamma(gamma: int, size: int) -> None:
-    """Check a receiver capability against set size K: 1 <= gamma < K."""
+    """Check a receiver capability against set size K: an integer with
+    1 <= gamma < K."""
+    if not isinstance(gamma, Integral):
+        raise ValueError(f"gamma must be an integer, got {gamma!r}")
     if not 1 <= gamma < size:
         raise ValueError(f"gamma must satisfy 1 <= gamma < K={size}")
 
@@ -460,19 +409,21 @@ def hamming_cross_correlation(
 
 def theta_profile(
     sset: SequenceSet, users: Sequence[int], shifts: Sequence[int]
-) -> ThetaProfile:
+) -> tuple[int, ...]:
     """Per-slot histogram of simultaneous ones among a shifted user tuple.
 
-    The top bucket equals ``hamming_cross_correlation`` for the same
-    arguments; the buckets always sum to the period.
+    Entry j is the number of slots in one period where exactly j of the
+    shifted tuple members transmit: the slots with at most j, less those
+    with at most j - 1.  The top entry equals ``hamming_cross_correlation``
+    for the same arguments; the entries always sum to the period.
     """
     masks = _tuple_masks(sset, users, shifts)
     L = sset.period
     planes = count_planes(masks)
-    counts = tuple(
-        exact_count_mask(planes, j, L).bit_count() for j in range(len(masks) + 1)
-    )
-    return ThetaProfile(counts)
+    at_most = [
+        at_most_mask(planes, j, L).bit_count() for j in range(-1, len(masks) + 1)
+    ]
+    return tuple(b - a for a, b in zip(at_most, at_most[1:]))
 
 
 # ---------------------------------------------------------------------------

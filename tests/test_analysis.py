@@ -266,6 +266,12 @@ def test_is_ti_gamma_validation(example_set):
         is_ti(example_set, 0)
     with pytest.raises(ValueError):
         is_ti(example_set, 3)
+    with pytest.raises(ValueError, match="integer"):
+        is_ti(example_set, 1.5)
+    with pytest.raises(ValueError, match="integer"):
+        throughput_at(example_set, (0, 0, 0), 1.5)
+    # an integral gamma of another type still passes
+    assert is_ti(example_set, True).holds
 
 
 def _direct_counts(trial, gamma):
@@ -525,8 +531,8 @@ def test_delta_record_conserves_slots_and_ones():
         rec = delta_record(trial, users, a, b)
         assert sum(rec.deltas) == 0
         assert sum(j * d for j, d in enumerate(rec.deltas)) == 0
-        src = theta_profile(trial, users, a).counts
-        dst = theta_profile(trial, users, b).counts
+        src = theta_profile(trial, users, a)
+        dst = theta_profile(trial, users, b)
         assert rec.deltas == tuple(y - x for x, y in zip(src, dst))
 
 
@@ -550,6 +556,13 @@ def test_lemma_delta_pairs_always_qualify():
         assert rec.deltas[1] == -2 * rec.deltas[2]
         nontrivial += rec.deltas[2] != 0
     assert nontrivial > 0
+
+
+def test_delta_identities_refuse_a_single_user(example_set):
+    with pytest.raises(ValueError, match="at least two users"):
+        delta_record(example_set, (2,), (0,), (1,))
+    with pytest.raises(ValueError, match="at least two users"):
+        check_lemma_delta(example_set, (2,), (0,), (1,))
 
 
 def test_lemma_delta_requires_si_subsets():
@@ -604,11 +617,11 @@ def test_structural_hypotheses_arithmetic():
     assert "gamma=3" in structural_hypotheses(8, 3, fifth)
     assert "gamma=K-3" in structural_hypotheses(8, 5, fifth)
     assert structural_hypotheses(8, 3, [Fraction(1, 3)] * 8) == ()
-    assert structural_hypotheses(7, 3, fifth) == ()  # K-3 = 4 is not prime
+    assert structural_hypotheses(7, 3, fifth[:7]) == ()  # K-3 = 4 is not prime
     # K-3 = 2 leaves half of K-2 fractional, so the prime route is off
     # (gamma=3 still coincides with gamma=K-2 here, which stands on its own)
-    assert "gamma=3" not in structural_hypotheses(5, 3, fifth)
-    assert "gamma=K-2" in structural_hypotheses(5, 3, fifth)
+    assert "gamma=3" not in structural_hypotheses(5, 3, fifth[:5])
+    assert "gamma=K-2" in structural_hypotheses(5, 3, fifth[:5])
     # unequal or degenerate duty factors disable the tagged conditions
     assert structural_hypotheses(4, 2, [Fraction(1, 2), Fraction(1, 3),
                                         Fraction(1, 2), Fraction(1, 2)]) == ()
@@ -618,6 +631,10 @@ def test_structural_hypotheses_arithmetic():
     assert "gamma=3" in structural_hypotheses(14, 3, [Fraction(1, 5)] * 14)
     with pytest.raises(ValueError):
         structural_hypotheses(4, 4, third)
+    # one duty factor per user: a short or long list is refused
+    for wrong in ([], third[:3], third + third[:1]):
+        with pytest.raises(ValueError, match="duty factors"):
+            structural_hypotheses(4, 1, wrong)
 
 
 def test_structural_conclusion_worked_example(example_set):
@@ -629,6 +646,16 @@ def test_structural_conclusion_worked_example(example_set):
     report = structural_conclusion(example_set, 2)
     assert "gamma=K-1" in report.applicable
     assert report.si.holds
+
+
+def test_structural_conclusion_raises_when_forced_si_fails(monkeypatch, example_set):
+    # gamma=1 forces SI on a TI set, so a negative SI verdict means the
+    # counting is broken, and the report is refused rather than returned
+    witness = Witness((1, 2), (0, 0), (0, 1), 6, 5)
+    forged = PropertyVerdict("SI", False, witness, 1)
+    monkeypatch.setattr(analysis, "is_si", lambda *args, **kwargs: forged)
+    with pytest.raises(StructuralContradictionError, match="gamma=1"):
+        structural_conclusion(example_set, 1)
 
 
 def test_structural_conclusion_symmetric_triple():
@@ -711,7 +738,7 @@ def test_split_orbit_average_identity():
             )
             j = 2 if both else 1
             margin = gamma - 2 if both else gamma - 1
-            assert orbit == head_profile.count(j) * tail_profile.at_most(margin)
+            assert orbit == head_profile[j] * sum(tail_profile[: max(margin + 1, 0)])
 
 
 def test_alternating_binomial_reduction():

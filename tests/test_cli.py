@@ -289,6 +289,25 @@ def test_example_command_reproduces_and_is_deterministic(capsys):
     assert "all values reproduced" in out_a
 
 
+def test_example_mismatch_exits_one_and_names_each_deviation(capsys, monkeypatch):
+    built = construct_si(["2/3", "1/3", "1/3"])
+    # swap one bit of s3 within the same duty factor: slot 8 off, slot 9 on
+    swapped = built.sequences[2].mask ^ (1 << 8 | 1 << 9)
+    rows = list(WORKED_ROWS[:2]) + [format(swapped, "027b")[::-1]]
+    broken = parse_sequence_set("".join(r + "\n" for r in rows))
+    monkeypatch.setattr(cli.construction, "construct_si", lambda duty: broken)
+    code, out, err = run_cli(capsys, "example")
+    assert code == 1
+    assert "s3 = " + rows[2] in out
+    assert out.startswith("duty factors: 2/3, 1/3, 1/3\n")
+    assert "SI: False" in out
+    assert "all values reproduced" not in out
+    lines = err.splitlines()
+    assert lines and all(line.startswith("MISMATCH: ") for line in lines)
+    assert "MISMATCH: sequence s3 deviates from the expected layout" in lines
+    assert "MISMATCH: set not SI" in lines
+
+
 def test_usage_errors_exit_two(capsys):
     code, out, err = run_cli(capsys, "construct", "--duty", "5/3")
     assert code == 2

@@ -27,7 +27,7 @@ from protoseq import (
     verify_witness,
 )
 from protoseq import reference, simulator
-from protoseq.core import at_most_mask, count_planes, exact_count_mask
+from protoseq.core import at_most_mask, count_planes
 
 from helpers import (
     first_difference_si,
@@ -98,11 +98,8 @@ def test_counter_planes_match_reference_histograms(trial):
         assert sum(((p >> t) & 1) << k for k, p in enumerate(planes)) == fires[t]
     histogram = reference.theta_counts(trial, range(1, K + 1), (0,) * K)
     for j in range(-1, K + 2):
-        exact = exact_count_mask(planes, j, L)
         at_most = at_most_mask(planes, j, L)
-        assert [(exact >> t) & 1 for t in range(L)] == [n == j for n in fires]
         assert [(at_most >> t) & 1 for t in range(L)] == [n <= j for n in fires]
-        assert exact.bit_count() == (histogram[j] if 0 <= j <= K else 0)
         assert at_most.bit_count() == sum(histogram[: max(j + 1, 0)])
 
 
@@ -149,7 +146,7 @@ def tuples_at_shifts(draw):
 def test_theta_profile_matches_reference_histogram(case):
     trial, users, shifts = case
     profile = theta_profile(trial, users, shifts)
-    assert profile.counts == reference.theta_counts(trial, users, shifts)
+    assert profile == reference.theta_counts(trial, users, shifts)
 
 
 @st.composite

@@ -46,6 +46,10 @@ def test_gamma_validation():
         ti_throughput(WORKED, 3)
     with pytest.raises(ValueError):
         symmetric_throughput(Fraction(1, 2), 3, 3)
+    with pytest.raises(ValueError, match="integer"):
+        ti_throughput(WORKED, 1.5)
+    with pytest.raises(ValueError, match="integer"):
+        symmetric_throughput(Fraction(1, 2), 3, 1.5)
 
 
 def test_matches_subset_enumeration_oracle():
