@@ -18,17 +18,29 @@ One generator (``_Lanes.sweep``) lays out every sweep: the TI and SI
 verdicts, ``correlation_values`` and the pairwise-SI search.  It spreads
 a tuple's masks into byte-aligned lanes (slot t at bit w·t, with
 w = 8·ceil(bit_length(L)/8)), walks the middle members' shifts and
-hands each shift to a score, which counts all L shifts of the last
+hands the layout to a score, which counts all L shifts of the last
 member at once: one big-integer product of a spread mask with the last
 member's spread mask read backwards leaves the count at each shift in
 its own field.  A block of L shift classes then costs one product of
 two L·w-bit integers per column (Karatsuba time in CPython, about
 (L·w)^1.6), instead of L popcounts run one by one in the interpreter.
-Two scores fill the sweep: the tuple's correlation
-(``_Lanes.correlation``) and the per-user success counts of the TI
-sweep (``_ti_sweep``).  One locator (``_first_difference``) finds the
-first class that differs from the all-zero class, and no other module
-reads the lane format.
+
+For 4 <= L <= 64 a tuple of three or more members goes on in rows: L
+segments side by side, segment j from bit 2·L·w·j, holding the tuple
+with the innermost middle member rotated by j slots (``_Row``).  The
+first member and the outer middle members are repeated in every
+segment, and a segment's upper half stays zero, so that its product
+with the last member stays inside it.  Each bitwise operation, product
+and fold of a score then covers L blocks.  The first block, all middle
+shifts 0, is still scored alone before the tuple's rows are built, so a
+sweep that stops there costs one block; rows start over from it.
+
+Two scores fill the sweep: the tuple's correlation (``_correlation``)
+and the per-user success counts of the TI sweep (``_ti_sweep``).  One
+locator (``_first_difference``) finds the first class that differs from
+the all-zero class: in a row, the lowest segment where any column
+differs, then the highest differing field in it.  No other module reads
+the lane format.
 """
 
 from __future__ import annotations
@@ -197,18 +209,20 @@ class _Lanes:
     """Byte-aligned lane layout of one period for the shift sweeps.
 
     A spread mask holds slot t of a schedule at bit ``width * t``, so a
-    field of ``width`` bits per slot.  Bitwise operations, ``count_planes``
-    and popcounts act on spread masks as on plain ones; only a mask of
-    slots with at most j transmitters is ANDed with ``ones``, since the
-    bits between lanes count zero transmitters.  Multiplying a spread
-    mask x by the spread of another schedule read backwards, q, adds up
-    |x & rot(last, tau)| for every tau at once: field f of
-    ``column(x, q)`` holds the count at tau = L - 1 - f.  No field
-    carries into the next, since each holds at most L.  ``sweep`` lays
-    out every shift sweep in this format, and only it spreads masks.
+    field of ``width`` bits per slot, ``bits`` bits in all: one segment.
+    Bitwise operations, ``count_planes`` and popcounts act on spread
+    masks as on plain ones; only a mask of slots with at most j
+    transmitters is ANDed with ``ones``, since the bits between lanes
+    count zero transmitters.  Multiplying a spread mask x by the spread
+    of another schedule read backwards, q, adds up |x & rot(last, tau)|
+    for every tau at once: field f of ``column(x, q)`` holds the count at
+    tau = L - 1 - f.  No field carries into the next, since each holds at
+    most L.  ``sweep`` lays out every shift sweep in this one-segment
+    layout and in ``row``, the layout of L segments side by side
+    (``_Row``), and only it spreads masks.
     """
 
-    __slots__ = ("period", "width", "bits", "full", "top", "ones")
+    __slots__ = ("period", "width", "bits", "full", "top", "ones", "row")
 
     def __init__(self, period: int) -> None:
         self.period = period
@@ -219,6 +233,7 @@ class _Lanes:
         self.top = self.bits - w  # offset of field L - 1, the last member's shift 0
         # a one in every field: the spread of the all-ones schedule
         self.ones = int.from_bytes(b"\x01".ljust(w // 8, b"\0") * period, "little")
+        self.row = _Row(self) if period in _ROW_PERIODS else None
 
     def _spread(self, mask: int, offset: int, order: str) -> int:
         # byte j of the digits is slot L - 1 - j (a top bit set above the
@@ -257,52 +272,165 @@ class _Lanes:
         product = spread * last
         return (product & self.full) + (product >> self.bits)
 
+    def successes(
+        self, head: Sequence[int], fits: int, edge: int, last: int
+    ) -> list[int]:
+        """One column per mask m of ``head``: the ones of ``m & fits`` in
+        every field, less ``column(m & edge, last)``."""
+        ones = self.ones
+        full = self.full
+        columns = []
+        for m in head:
+            product = (m & edge) * last
+            lost = (product & full) + (product >> self.bits)
+            columns.append((m & fits).bit_count() * ones - lost)
+        return columns
+
     def fields(self, packed: int) -> Sequence[int]:
         """All ``period`` fields of a packed column, field 0 first."""
-        data = packed.to_bytes(self.bits // 8, "little")
+        return self.decode(packed.to_bytes(self.bits // 8, "little"))
+
+    def decode(self, data: bytes) -> Sequence[int]:
+        """The fields held in ``data``, little-endian, ``width`` bits each."""
         k = self.width // 8
         if k == 1:
             return data
         return [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
 
-    def sweep(
-        self, masks: Sequence[int], score: Callable[[int, Sequence[int], int], list[int]]
-    ) -> Iterator[_Block]:
+    def sweep(self, masks: Sequence[int], score: _Score) -> Iterator[_Block]:
         """Score a tuple at every shift class, first shift pinned to zero.
 
-        ``masks`` holds the tuple's two or more members.  One block
-        ``(middle, score(first, rotated, last))`` is yielded per shift
-        ``middle`` of the middle members, in lexicographic order:
-        ``first`` is the first member's spread mask, ``rotated`` the
-        middle members' spread masks at ``middle`` and ``last`` the last
-        member's ``spread_reversed`` mask.  The score returns packed
-        columns whose field L - 1 - t holds a count at the last member's
-        shift t, so the top fields of the first block are the all-zero
-        class.  The masks are spread on the first block, not on the call.
+        ``masks`` holds the tuple's two or more members: the first, the
+        middle ones and the last.  A score gets a layout, the first
+        member's mask, the middle members' masks and the last member's
+        ``spread_reversed`` mask in that layout, and returns packed
+        columns: field L - 1 - t of a segment holds a count at the last
+        member's shift t.
+
+        Blocks ``(middle, layout, columns)`` come in lexicographic order
+        of ``middle``, the middle members' shifts at the block's first
+        segment, and the first is the all-zero class in one segment.  If
+        the period has a ``row`` layout, a tuple of three or more members
+        goes on in rows, which start over from the all-zero class:
+        segment j of a row puts the innermost middle member at shift j.
+        The first block is scored from the unshifted masks before the
+        rows are built, so a sweep that stops there builds nothing else.
+        Otherwise every block is one segment.
         """
         first = self.spread(masks[0])
-        tables = [self.rotations(self.spread(m)) for m in masks[1:-1]]
         last = self.spread_reversed(masks[-1])
-        shifts = itertools.product(range(self.period), repeat=len(tables))
-        for middle, rotated in zip(shifts, itertools.product(*tables)):
-            yield middle, score(first, rotated, last)
+        if len(masks) < 3 or self.row is None:
+            shape = self
+            tables = [self.rotations(self.spread(m)) for m in masks[1:-1]]
+        else:
+            shape = self.row
+            # the all-zero class alone, before the tuple's rows are built
+            middle = [self.spread(m) for m in masks[1:-1]]
+            yield (0,) * len(middle), self, score(self, first, middle, last)
+            first = shape.replicate(first)
+            tables = [[*map(shape.replicate, self.rotations(m))] for m in middle[:-1]]
+            tables.append([shape.rotations(middle[-1])])
+        shifts = itertools.product(*map(range, map(len, tables)))
+        for shift, rotated in zip(shifts, itertools.product(*tables)):
+            yield shift, shape, score(shape, first, rotated, last)
 
-    def correlation(self, first: int, rotated: Sequence[int], last: int) -> list[int]:
-        """The correlation score: one column, whose field L - 1 - t counts
-        the slots where ``first``, every ``rotated`` mask and the last
-        member at shift t all fire."""
-        for m in rotated:
-            first &= m
-        return [self.column(first, last)]
+
+#: The periods whose sweeps run in rows.  A row's products also multiply
+#: the empty upper half of every segment, twice a block's product work,
+#: which past L = 64 costs more than the interpreter steps of the L
+#: blocks it replaces; below L = 4 a row replaces too few blocks to pay
+#: for building it.
+_ROW_PERIODS = range(4, 65)
+
+
+class _Row:
+    """L segments of a period's lanes side by side: the row layout.
+
+    Segment j is the ``stride`` bits from ``stride * j``: a spread mask
+    in its lower half, and an upper half that stays zero in every mask,
+    so that a product with the last member's ``spread_reversed`` mask,
+    ``2 * bits - width`` bits long, stays in its segment.  ``replicate``
+    puts one spread mask in every segment and ``rotations`` the
+    rotations of one side by side.  Rows answer ``bits``, ``ones``,
+    ``column``, ``successes`` and ``fields`` as ``_Lanes`` does, segment
+    by segment, so each bitwise operation, product and fold of a score
+    covers L blocks at once.
+    """
+
+    __slots__ = ("lanes", "stride", "bits", "ones", "low", "pad", "turns", "lower")
+
+    def __init__(self, lanes: _Lanes) -> None:
+        self.lanes = lanes
+        self.stride = 2 * lanes.bits
+        self.bits = lanes.period * self.stride
+        self.ones = self.replicate(lanes.ones)
+        self.low = self.replicate(lanes.full)  # the lower half of every segment
+        size = lanes.bits // 8
+        self.pad = bytes(size)
+        # the bytes of the rotation by j in a doubled spread mask, and of
+        # the lower half of segment j in a row
+        k = lanes.width // 8
+        self.turns = [slice(k * j, k * j + size) for j in range(lanes.period)]
+        self.lower = [slice(2 * size * j, (2 * j + 1) * size) for j in range(lanes.period)]
+
+    def replicate(self, spread: int) -> int:
+        """The spread mask in every segment."""
+        segment = spread.to_bytes(self.stride // 8, "little")
+        return int.from_bytes(segment * self.lanes.period, "little")
+
+    def rotations(self, spread: int) -> int:
+        """The row whose segment j holds the spread mask rotated by j slots."""
+        lanes = self.lanes
+        doubled = (spread | spread << lanes.bits).to_bytes(lanes.bits // 4, "little")
+        return int.from_bytes(self.pad.join(map(doubled.__getitem__, self.turns)), "little")
+
+    def column(self, row: int, last: int) -> int:
+        """``_Lanes.column`` of every segment."""
+        product = row * last
+        low = self.low
+        return (product & low) + ((product >> self.lanes.bits) & low)
+
+    def successes(
+        self, head: Sequence[int], fits: int, edge: int, last: int
+    ) -> list[int]:
+        """``_Lanes.successes`` of every segment.
+
+        A product with the all-ones schedule, which every rotation keeps,
+        counts the ones of each segment in every one of its fields.
+        """
+        ones = self.lanes.ones
+        column = self.column
+        return [column(m & fits, ones) - column(m & edge, last) for m in head]
+
+    def fields(self, packed: int) -> Sequence[int]:
+        """The fields of every segment, segment 0 first, and not those of
+        the upper halves."""
+        data = packed.to_bytes(self.bits // 8, "little")
+        return self.lanes.decode(b"".join(map(data.__getitem__, self.lower)))
+
+
+def _correlation(
+    shape: _Lanes | _Row, first: int, rotated: Sequence[int], last: int
+) -> list[int]:
+    """The correlation score: one column, whose field L - 1 - t counts the
+    slots where ``first``, every ``rotated`` mask and the last member at
+    shift t all fire."""
+    for m in rotated:
+        first &= m
+    return [shape.column(first, last)]
 
 
 #: The layout of a period, built once for the most recently swept periods.
 _lanes = lru_cache(maxsize=64)(_Lanes)
 
+#: A score: a layout, the first member's mask, the middle members' masks
+#: and the last member's reversed spread in, packed columns out.
+_Score = Callable[[_Lanes | _Row, int, Sequence[int], int], list[int]]
 
-#: One block of a sweep: the shifts of the middle members, and packed
-#: columns whose field L - 1 - t holds a count at the last member's shift t.
-_Block = tuple[tuple[int, ...], list[int]]
+#: One block of a sweep: the shifts of the middle members at its first
+#: segment, its layout, and packed columns whose field L - 1 - t holds a
+#: count at the last member's shift t in every segment.
+_Block = tuple[tuple[int, ...], _Lanes | _Row, list[int]]
 
 #: The refusal of a sweep of more slot evaluations than its budget.
 _REFUSAL = "{need} {amount} slot evaluations, budget is {limit}"
@@ -311,11 +439,10 @@ _REFUSAL = "{need} {amount} slot evaluations, budget is {limit}"
 def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
     """Per-user success counts at every shift class, first shift pinned to zero.
 
-    The blocks of ``_Lanes.sweep`` over the whole set, one per shift
-    ``outer`` of users 2..K-1; ``columns[i]`` packs user i+1's success
-    counts with the last user at every shift, shift t in field L - 1 - t.
-    The capability and the budget are checked on the call, before any
-    layout is built.
+    The blocks of ``_Lanes.sweep`` over the whole set; ``columns[i]``
+    packs user i+1's success counts with the last user at every shift,
+    shift t in field L - 1 - t of a segment.  The capability and the
+    budget are checked on the call, before any layout is built.
 
     The score counts the first K - 1 users once per block: a slot where
     at most gamma - 1 of them fire (``room``) lets every packet through
@@ -329,71 +456,91 @@ def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
     L = sset.period
     validate_gamma(gamma, K)
     refuse_past(L ** (K - 1) * K * L, budget, _REFUSAL, need="TI verification needs")
-    lanes = _lanes(L)
-    ones = lanes.ones
-    column = lanes.column
 
-    def score(first: int, rotated: Sequence[int], last: int) -> list[int]:
+    def score(
+        shape: _Lanes | _Row, first: int, rotated: Sequence[int], last: int
+    ) -> list[int]:
         head = (first, *rotated)
         planes = count_planes(head)
-        room = at_most_mask(planes, gamma - 1, lanes.bits)
-        fits = at_most_mask(planes, gamma, lanes.bits)
+        room = at_most_mask(planes, gamma - 1, shape.bits)
+        fits = at_most_mask(planes, gamma, shape.bits)
         # fits holds room, so this leaves the slots with exactly gamma;
         # the bits between lanes count zero, fall in both and cancel
         edge = fits ^ room
-        room &= ones
-        columns = []
-        for m in head:
-            # successes while the last user is silent, less the edge slots
-            # lost where the last user fires too
-            e = m & edge
-            base = (m & fits).bit_count()
-            columns.append(base * ones - column(e, last))
-        columns.append(column(room, last))
+        # successes while the last user is silent, less the edge slots
+        # lost where the last user fires too
+        columns = shape.successes(head, fits, edge, last)
+        columns.append(shape.column(room & shape.ones, last))
         return columns
 
-    return lanes.sweep(sset.masks, score)
+    return _lanes(L).sweep(sset.masks, score)
 
 
 def _first_difference(
     lanes: _Lanes, blocks: Iterable[_Block]
-) -> tuple[int, list[int] | None, tuple[tuple[int, ...], int, int, int] | None]:
+) -> tuple[int, list[int], tuple[tuple[int, ...], int, int, int] | None]:
     """Compare every shift class of a sweep with the all-zero class.
 
     Returns ``(checked, first, difference)``: the number of classes
-    checked, every column's value at the all-zero class (None when there
-    is no block), and None when every class matches it.  Otherwise
-    ``difference`` is ``(middle, i, t, value)``: the first differing
-    class is the block ``middle`` at the last member's shift t, which is
-    the highest differing field; i is the lowest column that differs
-    there, and ``value`` its count.
+    checked, every column's value at the all-zero class, and None when
+    every class matches it.  Otherwise ``difference`` is
+    ``(middle, i, t, value)``: the first differing class has the middle
+    shifts ``middle`` and the last member's shift t.  It lies in the
+    lowest segment of its block where any column differs, at the highest
+    differing field there; i is the lowest column that differs in that
+    field, and ``value`` its count.
     """
     L = lanes.period
     w = lanes.width
-    checked = 0
-    first = flat = None
-    for middle, columns in blocks:
-        if flat is None:
-            first = [c >> lanes.top for c in columns]
-            flat = [v * lanes.ones for v in first]
+    first = shaped = None
+    for middle, shape, columns in blocks:
+        if shape is not shaped:
+            # the first block, then the first row: the all-zero class's
+            # counts in every field
+            if first is None:
+                first = [c >> lanes.top for c in columns]
+            shaped = shape
+            flat = [v * shape.ones for v in first]
         if columns != flat:
+            before = 0  # the blocks of L classes before the differing one
+            for s in middle:
+                before = before * L + s
+            if shape is not lanes:
+                # narrow a row to its lowest segment where a column differs
+                differences = map(operator.xor, columns, flat)
+                low = min((d & -d).bit_length() for d in differences if d)
+                j = (low - 1) // shape.stride
+                before += j
+                middle = (*middle[:-1], middle[-1] + j)
+                columns = [(c >> (shape.stride * j)) & lanes.full for c in columns]
+                flat = [v * lanes.ones for v in first]
             tops = [((c ^ g).bit_length() - 1) // w for c, g in zip(columns, flat)]
             f = max(tops)
             i = tops.index(f)
             value = (columns[i] >> (w * f)) & ((1 << w) - 1)
-            return checked + L - f, first, (middle, i, L - 1 - f, value)
-        checked += L
-    return checked, first, None
+            return before * L + L - f, first, (middle, i, L - 1 - f, value)
+    return L ** (len(middle) + 1), first, None
 
 
 def _success_totals(sset: SequenceSet, gamma: int, budget: int) -> list[int]:
-    """Each user's success counts summed over every shift class of ``_ti_sweep``."""
+    """Each user's success counts summed over every shift class of ``_ti_sweep``.
+
+    A column's fields are summed a byte plane at a time: byte b of every
+    field, shifted into place.
+    """
     blocks = _ti_sweep(sset, gamma, budget)
-    fields = _lanes(sset.period).fields
+    lanes = _lanes(sset.period)
+    if sset.size > 2 and lanes.row:
+        next(blocks)  # the first row scores the first block's classes again
+    k = lanes.width // 8
+    planes = [(slice(b, None, k), 8 * b) for b in range(k)]
     totals = [0] * sset.size
-    for _, columns in blocks:
+    for _, shape, columns in blocks:
+        size = shape.bits // 8
         for i, column in enumerate(columns):
-            totals[i] += sum(fields(column))
+            data = column.to_bytes(size, "little")
+            for plane, shift in planes:
+                totals[i] += sum(data[plane]) << shift
     return totals
 
 
@@ -418,7 +565,7 @@ def _constant_correlation_scan(
             continue
         lanes = _lanes(L)
         for users in itertools.combinations(range(1, K + 1), m):
-            blocks = lanes.sweep([masks[u - 1] for u in users], lanes.correlation)
+            blocks = lanes.sweep([masks[u - 1] for u in users], _correlation)
             n, first, difference = _first_difference(lanes, blocks)
             checked += n
             if difference is not None:
@@ -464,8 +611,8 @@ def correlation_values(sset: SequenceSet, users: Sequence[int]) -> set[int]:
         return {masks[0].bit_count()}
     lanes = _lanes(L)
     values: set[int] = set()
-    for _, [column] in lanes.sweep(masks, lanes.correlation):
-        values.update(lanes.fields(column))
+    for _, shape, [column] in lanes.sweep(masks, _correlation):
+        values.update(shape.fields(column))
     return values
 
 
@@ -897,7 +1044,7 @@ def find_pairwise_si_not_si(
             # an empty member makes the triple's correlation 0 at every shift
             continue
         lanes = _lanes(L)
-        blocks = lanes.sweep((m1, m2, m3), lanes.correlation)
+        blocks = lanes.sweep((m1, m2, m3), _correlation)
         if _first_difference(lanes, blocks)[2] is not None:
             hits.append(
                 SequenceSet(

@@ -146,7 +146,7 @@ def at_most_mask(planes: Sequence[int], limit: int, period: int) -> int:
 
     A count exceeds ``limit`` exactly when, at some plane k where
     ``limit`` has a zero, the count has a one and also has a one at every
-    higher plane where ``limit`` has one.  Only ``&``, ``|`` and ``~``
+    higher plane where ``limit`` has one.  Only ``&``, ``|`` and ``^``
     touch the planes, so the Monte-Carlo kernel passes numpy arrays of
     64-bit words with a period of 64.  It is the only comparator of
     counter planes: a slot with exactly j counts is in the mask at j and
@@ -164,7 +164,9 @@ def at_most_mask(planes: Sequence[int], limit: int, period: int) -> int:
             covers &= planes[k]
         else:
             greater |= covers & planes[k]
-    return full & ~greater
+    # greater only gathers bits of covers, which starts at full and is only
+    # ever narrowed, so it lies inside full and XOR clears it in one step
+    return full ^ greater
 
 
 def success_counts(masks: Sequence[int], gamma: int, period: int) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from protoseq import (
     as_duty_factors,
     count_config,
 )
-from protoseq import simulator
+from protoseq import analysis, simulator
 from protoseq.core import rotate_mask, success_counts
 
 
@@ -152,6 +152,27 @@ def unpack_column(packed, period):
     assert packed >> (width * period) == 0
     field = (1 << width) - 1
     return [(packed >> (width * (period - 1 - t))) & field for t in range(period)]
+
+
+def unpack_block(block, period):
+    """Counts by middle shifts from a sweep block, one entry per segment.
+
+    Returns ``[(middle, columns), ...]`` with each column unpacked by
+    ``unpack_column``.  A block of one segment holds the middle shifts it
+    names; a row (``analysis._Row``) holds segment j, ``stride`` bits from
+    the last with a zero upper half, at the innermost shift advanced by j.
+    """
+    middle, shape, columns = block
+    if not isinstance(shape, analysis._Row):
+        return [(middle, [unpack_column(c, period) for c in columns])]
+    stride = shape.stride
+    assert all(c >> (period * stride) == 0 for c in columns)
+    segments = []
+    for j in range(period):
+        cut = [(c >> (j * stride)) & ((1 << stride) - 1) for c in columns]
+        shifts = (*middle[:-1], middle[-1] + j)
+        segments.append((shifts, [unpack_column(c, period) for c in cut]))
+    return segments
 
 
 def _pair_constant(m1, m2, period):

@@ -48,6 +48,7 @@ from helpers import (
     first_difference_ti,
     random_set,
     search_oracle,
+    unpack_block,
     unpack_column,
 )
 
@@ -294,16 +295,22 @@ def test_ti_sweep_matches_direct_counts_and_first_difference_scan():
         for gamma in range(1, K):
             counts_at = _direct_counts(trial, gamma)
             blocks = list(analysis._ti_sweep(trial, gamma, DEFAULT_BUDGET))
-            outers = list(itertools.product(range(L), repeat=K - 2))
-            # one block per shift of users 2..K-1, in lexicographic order,
-            # holding each user's counts at the last user's L shifts
-            assert [outer for outer, _ in blocks] == outers
-            for outer, columns in blocks:
+            # every segment holds each user's counts at the last user's L
+            # shifts, checked here against directly rotated masks
+            segments = [seg for block in blocks for seg in unpack_block(block, L)]
+            for middle, columns in segments:
                 assert len(columns) == K
-                columns = [unpack_column(c, L) for c in columns]
                 for t in range(L):
-                    counts = counts_at((0, *outer, t))
+                    counts = counts_at((0, *middle, t))
                     assert tuple(column[t] for column in columns) == counts
+            # the first block is the all-zero class in one segment; rows
+            # start over from it, one-segment blocks go on after it, and
+            # either way in lexicographic order of users 2..K-1
+            outers = list(itertools.product(range(L), repeat=K - 2))
+            lanes = analysis._lanes(L)
+            repeated = outers[:1] if K > 2 and lanes.row else []
+            assert [middle for middle, _ in segments] == repeated + outers
+            assert all(shape is (lanes.row or lanes) for _, shape, _ in blocks[1:])
             expected = first_difference_ti(trial, gamma, counts_at)
             assert is_ti(trial, gamma) == expected
             if expected.holds:
@@ -330,14 +337,110 @@ def test_lane_columns_at_the_field_width_boundary(L):
             (BinarySequence.from_mask(a, L), BinarySequence.from_mask(b, L))
         )
         counts_at = _direct_counts(trial, 1)
-        [(outer, columns)] = analysis._ti_sweep(trial, 1, DEFAULT_BUDGET)
-        assert outer == ()
+        [(outer, shape, columns)] = analysis._ti_sweep(trial, 1, DEFAULT_BUDGET)
+        assert outer == () and shape is lanes
         columns = [unpack_column(c, L) for c in columns]
         assert [counts_at((0, t)) for t in range(L)] == list(zip(*columns))
         assert is_ti(trial, 1) == first_difference_ti(trial, 1, counts_at)
         correlation_at = partial(hamming_cross_correlation, trial)
         expected = first_difference_si(trial, [1, 2], "SI", correlation_at)
         assert is_si(trial) == expected
+
+
+@pytest.mark.parametrize("L", [4, 64, 256])
+def test_row_layout_matches_its_segments(L):
+    # sweeps use rows for 4 <= L <= 64; the layout holds at 16-bit fields too
+    lanes = analysis._lanes(L)
+    row = analysis._Row(lanes)
+    rng = random.Random(L)
+    a, b, c = (rng.getrandbits(L) for _ in range(3))
+    inner = row.rotations(lanes.spread(b))
+    first = row.replicate(lanes.spread(a))
+    last = lanes.spread_reversed(c)
+    both = first & inner
+    block = ((0,), row, [row.column(both, last), *row.successes([first], first, inner, last)])
+    segments = unpack_block(block, L)
+    assert [middle for middle, _ in segments] == [(j,) for j in range(L)]
+    for j, (_, [column, successes]) in enumerate(segments):
+        rotated = a & rotate_mask(b, j, L)
+        lost = [(rotated & rotate_mask(c, t, L)).bit_count() for t in range(L)]
+        assert column == lost
+        assert successes == [a.bit_count() - n for n in lost]
+    # fields run segment by segment, field 0 first, and skip the upper halves
+    assert list(row.fields(block[2][0])) == [
+        n for _, [column, _] in segments for n in reversed(column)
+    ]
+
+
+def _difference_places(trial, gamma):
+    """Where a sweep meets the first class that differs from the all-zero
+    class: in the first block, in a later segment of the first row or in
+    a later row, and whether two columns differ first in different
+    segments of that row."""
+    verdict = is_ti(trial, gamma)
+    if verdict.holds:
+        return set()
+    middle = verdict.witness.shifts_b[1:-1]
+    places = {"first block" if not any(middle) else
+              "first row" if not any(middle[:-1]) else "later row"}
+    L = trial.period
+    blocks = analysis._ti_sweep(trial, gamma, DEFAULT_BUDGET)
+    [(_, zero)] = unpack_block(next(blocks), L)
+    for block in blocks:
+        if not isinstance(block[1], analysis._Row):
+            break
+        segments = unpack_block(block, L)
+        firsts = {
+            min(j for j, (_, columns) in enumerate(segments) if columns[i] != base)
+            for i, base in enumerate(zero)
+            if any(columns[i] != base for _, columns in segments)
+        }
+        if firsts:
+            if len(firsts) > 1:
+                places.add("columns differ first in different segments")
+            break
+    return places
+
+
+def test_row_sweeps_match_reference_scans():
+    # sparse sets often match the all-zero class past the first block,
+    # so their witnesses reach every segment and row of a sweep
+    rng = random.Random(2026)
+    places = set()
+    for _ in range(80):
+        K = rng.randint(3, 5)
+        L = rng.randint(2, 12 if K < 5 else 6)
+        p = rng.choice([0.5, 0.2, 0.1])
+        trial = SequenceSet(tuple(
+            BinarySequence(tuple(int(rng.random() < p) for _ in range(L)))
+            for _ in range(K)
+        ))
+        for gamma in range(1, K):
+            def counts_at(shifts):
+                values = reference.throughput_at(trial, shifts, gamma)
+                return tuple(int(v * L) for v in values)
+
+            assert is_ti(trial, gamma) == first_difference_ti(trial, gamma, counts_at)
+            places |= _difference_places(trial, gamma)
+        correlation_at = partial(reference.hamming_cross_correlation, trial)
+        expected = first_difference_si(trial, range(1, K + 1), "SI", correlation_at)
+        assert is_si(trial) == expected
+        expected = first_difference_si(trial, [2], "PAIRWISE_SI", correlation_at)
+        assert is_pairwise_si(trial) == expected
+        for users in itertools.combinations(range(1, K + 1), 3):
+            values = {
+                correlation_at(users, (0, *rest))
+                for rest in itertools.product(range(L), repeat=2)
+            }
+            assert correlation_values(trial, users) == values
+    assert places == {
+        "first block",
+        "first row",
+        "later row",
+        "columns differ first in different segments",
+    }
+    # a row's empty upper halves are not read as correlations of 0
+    assert correlation_values(sset("11111111", "11111111", "11111110"), (1, 2, 3)) == {7}
 
 
 def test_verdicts_with_16_bit_fields_match_brute_force_scans():
@@ -354,8 +457,10 @@ def test_verdicts_with_16_bit_fields_match_brute_force_scans():
         assert is_si(trial) == expected
     assert is_ti(built, 1).holds and not is_ti(broken, 1).holds
     # consistency_check sums 16-bit fields whose high bytes are set
-    counts_at = _direct_counts(built, 1)
-    totals = [sum(c) for c in zip(*(counts_at((0, t)) for t in range(300)))]
+    for trial in (broken, built):
+        counts_at = _direct_counts(trial, 1)
+        totals = [sum(c) for c in zip(*(counts_at((0, t)) for t in range(300)))]
+        assert analysis._success_totals(trial, 1, DEFAULT_BUDGET) == totals
     assert max(max(counts_at((0, t))) for t in range(300)) > 255
     closed = ti_throughput(duty, 1).per_user
     assert tuple(Fraction(t, 300 * 300) for t in totals) == closed
