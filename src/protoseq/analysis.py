@@ -16,24 +16,27 @@ raise instead of silently passing.
 
 One generator (``_Lanes.sweep``) lays out every sweep: the TI and SI
 verdicts, ``correlation_values`` and the pairwise-SI search.  It spreads
-a tuple's masks into byte-aligned lanes (slot t at bit w·t, with
-w = 8·ceil(bit_length(L)/8)), walks the middle members' shifts and
-hands the layout to a score, which counts all L shifts of the last
-member at once: one big-integer product of a spread mask with the last
-member's spread mask read backwards leaves the count at each shift in
-its own field.  A block of L shift classes then costs one product of
-two L·w-bit integers per column (Karatsuba time in CPython, about
-(L·w)^1.6), instead of L popcounts run one by one in the interpreter.
+a tuple's masks into lanes (slot t at bit w·t), walks the middle
+members' shifts and hands the layout to a score, which counts all L
+shifts of the last member at once: one big-integer product of a spread
+mask with the last member's spread mask read backwards leaves the count
+at each shift in its own field.  A block of L shift classes then costs
+one product of two L·w-bit integers per column (Karatsuba time in
+CPython, about (L·w)^1.6), instead of L popcounts run one by one in the
+interpreter.  A field is w bits, the narrowest width that holds a count
+of L and has no prime factor above 5 (``_Lanes``): 4, 5 and 6 bits up
+to L = 15, 31 and 63, 8 bits for L = 64-255, 9 bits up to L = 511.
 
 For 4 <= L <= 64 a tuple of three or more members goes on in rows: L
-segments side by side, segment j from bit 2·L·w·j, holding the tuple
-with the innermost middle member rotated by j slots (``_Row``).  The
-first member and the outer middle members are repeated in every
-segment, and a segment's upper half stays zero, so that its product
-with the last member stays inside it.  Each bitwise operation, product
-and fold of a score then covers L blocks.  The first block, all middle
-shifts 0, is still scored alone before the tuple's rows are built, so a
-sweep that stops there costs one block; rows start over from it.
+segments side by side, segment j from bit s·j, where the stride s is
+2·L·w rounded up to whole bytes, holding the tuple with the innermost
+middle member rotated by j slots (``_Row``).  The first member and the
+outer middle members are repeated in every segment, and a segment's
+upper part stays zero, so that its product with the last member stays
+inside it.  Each bitwise operation, product and fold of a score then
+covers L blocks.  The first block, all middle shifts 0, is still scored
+alone before the tuple's rows are built, so a sweep that stops there
+costs one block; rows start over from it.
 
 Two scores fill the sweep: the tuple's correlation (``_correlation``)
 and the per-user success counts of the TI sweep (``_ti_sweep``).  One
@@ -201,15 +204,34 @@ def throughput_at(
 # exhaustive invariance verdicts
 
 
-#: Maps the text digits of a mask, b"0" and b"1", to the bytes 0 and 1.
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+def _digit_bits(width: int) -> list[int] | None:
+    """Digit sizes f <= 5 whose product is ``width``, smallest first, or
+    None when ``width`` has a prime factor above 5."""
+    sizes = []
+    for f in (5, 4, 3, 2):
+        while width % f == 0:
+            sizes.append(f)
+            width //= f
+    # a width of 1 is one digit of 1 bit
+    return (sorted(sizes) or [1]) if width == 1 else None
 
 
 class _Lanes:
-    """Byte-aligned lane layout of one period for the shift sweeps.
+    """Lane layout of one period for the shift sweeps.
 
     A spread mask holds slot t of a schedule at bit ``width * t``, so a
     field of ``width`` bits per slot, ``bits`` bits in all: one segment.
+    A field holds a count of at most the period, and a product's digit
+    work grows with the square of its width, so ``width`` is the
+    narrowest one that holds such a count and is a product of 2, 3 and
+    5: 1 to 6 bits up to L = 63, then 8, 9, 10, 12, 15, 16, 18, 20, ...
+    (7 is prime, so periods of bit length 7 take 8 bits).  Such a width
+    lets a spread be one parse of the mask's binary digits in base 2**f
+    per factor f <= 5: slot t of a base-2**f parse lands at bit f·t, so
+    w = 6 is a base-4 parse followed by a base-8 parse of its binary
+    digits, and up to L = 31 a spread is one parse.  Power-of-two bases
+    parse in linear time.
+
     Bitwise operations, ``count_planes`` and popcounts act on spread
     masks as on plain ones; only a mask of slots with at most j
     transmitters is ANDed with ``ones``, since the bits between lanes
@@ -222,39 +244,37 @@ class _Lanes:
     (``_Row``), and only it spreads masks.
     """
 
-    __slots__ = ("period", "width", "bits", "full", "top", "ones", "row")
+    __slots__ = ("period", "width", "bits", "full", "top", "ones", "base", "more", "row")
 
     def __init__(self, period: int) -> None:
         self.period = period
-        # whole bytes, enough to hold any count up to the period
-        self.width = w = 8 * -(-period.bit_length() // 8)
+        w = period.bit_length()
+        while (sizes := _digit_bits(w)) is None:
+            w += 1
+        self.width = w
         self.bits = w * period  # the size of a spread mask
         self.full = (1 << self.bits) - 1
         self.top = self.bits - w  # offset of field L - 1, the last member's shift 0
         # a one in every field: the spread of the all-ones schedule
-        self.ones = int.from_bytes(b"\x01".ljust(w // 8, b"\0") * period, "little")
+        self.ones = self.full // ((1 << w) - 1)
+        self.base, *self.more = [1 << f for f in sizes]
         self.row = _Row(self) if period in _ROW_PERIODS else None
 
-    def _spread(self, mask: int, offset: int, order: str) -> int:
-        # byte j of the digits is slot L - 1 - j (a top bit set above the
-        # period keeps the leading zeros); read big-endian it lands in
-        # field L - 1 - j, read little-endian in field j
-        text = bin(mask | 1 << self.period)[3:]
-        digits = text.encode().translate(_DIGIT_BYTES)
-        if self.width > 8:
-            k = self.width // 8
-            buf = bytearray(self.period * k)
-            buf[offset::k] = digits
-            digits = buf
-        return int.from_bytes(digits, order)
+    def _parse(self, digits: str) -> int:
+        # digit t from the right lands at bit w·t after the last parse
+        spread = int(digits, self.base)
+        for base in self.more:
+            spread = int(bin(spread)[2:], base)
+        return spread
 
     def spread(self, mask: int) -> int:
         """Mask with slot t moved to bit ``width * t``."""
-        return self._spread(mask, self.width // 8 - 1, "big")
+        return self._parse(bin(mask)[2:])
 
     def spread_reversed(self, mask: int) -> int:
         """Mask with slot t moved to bit ``width * (period - 1 - t)``."""
-        return self._spread(mask, 0, "little")
+        # a top bit set above the period keeps the leading zeros
+        return self._parse(bin(mask | 1 << self.period)[:2:-1])
 
     def rotations(self, spread: int) -> list[int]:
         """Entry t is the spread mask rotated by t slots (see ``rotate_mask``)."""
@@ -286,16 +306,25 @@ class _Lanes:
             columns.append((m & fits).bit_count() * ones - lost)
         return columns
 
-    def fields(self, packed: int) -> Sequence[int]:
+    def fields(self, packed: int) -> list[int]:
         """All ``period`` fields of a packed column, field 0 first."""
-        return self.decode(packed.to_bytes(self.bits // 8, "little"))
+        return self.decode(packed.to_bytes(-(-self.bits // 8), "little"))
 
-    def decode(self, data: bytes) -> Sequence[int]:
-        """The fields held in ``data``, little-endian, ``width`` bits each."""
-        k = self.width // 8
-        if k == 1:
-            return data
-        return [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
+    def decode(self, data: bytes) -> list[int]:
+        """The first ``period`` fields held in ``data``, little-endian.
+
+        Every 64 fields fill ``8 * width`` whole bytes, so the fields are
+        read by shifts inside such chunks, which keeps the work linear in
+        the period.
+        """
+        w = self.width
+        field = (1 << w) - 1
+        size = 8 * w
+        offsets = range(0, min(64, self.period) * w, w)
+        chunks = [
+            int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)
+        ]
+        return [(c >> b) & field for c in chunks for b in offsets][: self.period]
 
     def sweep(self, masks: Sequence[int], score: _Score) -> Iterator[_Block]:
         """Score a tuple at every shift class, first shift pinned to zero.
@@ -347,31 +376,25 @@ class _Row:
     """L segments of a period's lanes side by side: the row layout.
 
     Segment j is the ``stride`` bits from ``stride * j``: a spread mask
-    in its lower half, and an upper half that stays zero in every mask,
-    so that a product with the last member's ``spread_reversed`` mask,
-    ``2 * bits - width`` bits long, stays in its segment.  ``replicate``
-    puts one spread mask in every segment and ``rotations`` the
-    rotations of one side by side.  Rows answer ``bits``, ``ones``,
-    ``column``, ``successes`` and ``fields`` as ``_Lanes`` does, segment
-    by segment, so each bitwise operation, product and fold of a score
-    covers L blocks at once.
+    in its lower ``bits`` bits, and an upper part that stays zero in
+    every mask, so that a product with the last member's
+    ``spread_reversed`` mask, ``2 * bits - width`` bits long, stays in
+    its segment.  The stride is ``2 * bits`` rounded up to whole bytes,
+    so that ``replicate`` puts one spread mask in every segment by one
+    byte repetition; ``rotations`` lays the rotations of one side by
+    side.  Rows answer ``bits``, ``ones``, ``column``, ``successes`` and
+    ``fields`` as ``_Lanes`` does, segment by segment, so each bitwise
+    operation, product and fold of a score covers L blocks at once.
     """
 
-    __slots__ = ("lanes", "stride", "bits", "ones", "low", "pad", "turns", "lower")
+    __slots__ = ("lanes", "stride", "bits", "ones", "low")
 
     def __init__(self, lanes: _Lanes) -> None:
         self.lanes = lanes
-        self.stride = 2 * lanes.bits
+        self.stride = 8 * -(-2 * lanes.bits // 8)
         self.bits = lanes.period * self.stride
         self.ones = self.replicate(lanes.ones)
-        self.low = self.replicate(lanes.full)  # the lower half of every segment
-        size = lanes.bits // 8
-        self.pad = bytes(size)
-        # the bytes of the rotation by j in a doubled spread mask, and of
-        # the lower half of segment j in a row
-        k = lanes.width // 8
-        self.turns = [slice(k * j, k * j + size) for j in range(lanes.period)]
-        self.lower = [slice(2 * size * j, (2 * j + 1) * size) for j in range(lanes.period)]
+        self.low = self.replicate(lanes.full)  # the lower part of every segment
 
     def replicate(self, spread: int) -> int:
         """The spread mask in every segment."""
@@ -380,9 +403,9 @@ class _Row:
 
     def rotations(self, spread: int) -> int:
         """The row whose segment j holds the spread mask rotated by j slots."""
-        lanes = self.lanes
-        doubled = (spread | spread << lanes.bits).to_bytes(lanes.bits // 4, "little")
-        return int.from_bytes(self.pad.join(map(doubled.__getitem__, self.turns)), "little")
+        size = self.stride // 8
+        segments = [r.to_bytes(size, "little") for r in self.lanes.rotations(spread)]
+        return int.from_bytes(b"".join(segments), "little")
 
     def column(self, row: int, last: int) -> int:
         """``_Lanes.column`` of every segment."""
@@ -402,11 +425,17 @@ class _Row:
         column = self.column
         return [column(m & fits, ones) - column(m & edge, last) for m in head]
 
-    def fields(self, packed: int) -> Sequence[int]:
+    def fields(self, packed: int) -> list[int]:
         """The fields of every segment, segment 0 first, and not those of
-        the upper halves."""
+        the upper parts."""
+        lanes = self.lanes
         data = packed.to_bytes(self.bits // 8, "little")
-        return self.lanes.decode(b"".join(map(data.__getitem__, self.lower)))
+        size = -(-lanes.bits // 8)  # the bytes that hold a segment's fields
+        return [
+            n
+            for j in range(0, len(data), self.stride // 8)
+            for n in lanes.decode(data[j : j + size])
+        ]
 
 
 def _correlation(
@@ -525,22 +554,24 @@ def _first_difference(
 def _success_totals(sset: SequenceSet, gamma: int, budget: int) -> list[int]:
     """Each user's success counts summed over every shift class of ``_ti_sweep``.
 
-    A column's fields are summed a byte plane at a time: byte b of every
-    field, shifted into place.
+    A column's fields are summed a bit plane at a time: bit b of every
+    field, counted and shifted into place, for every b below the bit
+    length of the period.
     """
     blocks = _ti_sweep(sset, gamma, budget)
     lanes = _lanes(sset.period)
     if sset.size > 2 and lanes.row:
         next(blocks)  # the first row scores the first block's classes again
-    k = lanes.width // 8
-    planes = [(slice(b, None, k), 8 * b) for b in range(k)]
+    depth = sset.period.bit_length()
     totals = [0] * sset.size
+    shaped = None
     for _, shape, columns in blocks:
-        size = shape.bits // 8
+        if shape is not shaped:
+            shaped = shape
+            planes = [(shape.ones << b, b) for b in range(depth)]
         for i, column in enumerate(columns):
-            data = column.to_bytes(size, "little")
-            for plane, shift in planes:
-                totals[i] += sum(data[plane]) << shift
+            for plane, b in planes:
+                totals[i] += (column & plane).bit_count() << b
     return totals
 
 

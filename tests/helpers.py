@@ -144,11 +144,12 @@ def first_difference_si(sset, sizes, prop, correlation_at):
 def unpack_column(packed, period):
     """Counts by the last member's shift from a packed sweep column.
 
-    Fields are whole bytes, wide enough for a count of ``period``; the
-    count at shift t sits in field period - 1 - t, and no bit lies above
-    the top field.
+    Fields are ``analysis._lanes(period).width`` bits wide, enough for a
+    count of ``period``; the count at shift t sits in field
+    period - 1 - t, and no bit lies above the top field.
     """
-    width = 8 * ((period.bit_length() + 7) // 8)
+    width = analysis._lanes(period).width
+    assert width >= period.bit_length()
     assert packed >> (width * period) == 0
     field = (1 << width) - 1
     return [(packed >> (width * (period - 1 - t))) & field for t in range(period)]
@@ -160,7 +161,7 @@ def unpack_block(block, period):
     Returns ``[(middle, columns), ...]`` with each column unpacked by
     ``unpack_column``.  A block of one segment holds the middle shifts it
     names; a row (``analysis._Row``) holds segment j, ``stride`` bits from
-    the last with a zero upper half, at the innermost shift advanced by j.
+    the last with a zero upper part, at the innermost shift advanced by j.
     """
     middle, shape, columns = block
     if not isinstance(shape, analysis._Row):

@@ -317,11 +317,18 @@ def test_ti_sweep_matches_direct_counts_and_first_difference_scan():
                 assert expected.configurations_checked == L ** (K - 1)
 
 
-@pytest.mark.parametrize("L", [255, 256])
+#: The field width of each period where the width steps, and of L = 1:
+#: the narrowest width of at least bit_length(L) bits with no prime
+#: factor above 5, so bit length 7 takes 8 bits.
+FIELD_WIDTHS = {1: 1, 3: 2, 4: 3, 7: 3, 8: 4, 15: 4, 16: 5, 31: 5, 32: 6, 63: 6,
+                64: 8, 255: 8, 256: 9}
+
+
+@pytest.mark.parametrize("L", list(FIELD_WIDTHS))
 def test_lane_columns_at_the_field_width_boundary(L):
-    # 255 is the largest count a byte holds; at 256 fields widen to 16 bits
+    # 2^b - 1 is the largest count b bits hold; at 2^b fields widen
     lanes = analysis._lanes(L)
-    assert lanes.width == (8 if L < 256 else 16)
+    assert lanes.width == FIELD_WIDTHS[L]
     rng = random.Random(L)
     full = (1 << L) - 1
     masks = (0, full, rng.getrandbits(L), rng.getrandbits(L))
@@ -330,7 +337,7 @@ def test_lane_columns_at_the_field_width_boundary(L):
             column = lanes.column(lanes.spread(a), lanes.spread_reversed(b))
             expected = [(a & rotate_mask(b, t, L)).bit_count() for t in range(L)]
             assert unpack_column(column, L) == expected
-            assert sum(lanes.fields(column)) == sum(expected)
+            assert lanes.fields(column) == expected[::-1]  # field f is tau = L - 1 - f
     # all-ones beside all-zero: every success count is L or 0
     for a, b in [(full, 0), (0, full), (full, full), (masks[2], full), (masks[3], 0)]:
         trial = SequenceSet(
@@ -347,11 +354,15 @@ def test_lane_columns_at_the_field_width_boundary(L):
         assert is_si(trial) == expected
 
 
-@pytest.mark.parametrize("L", [4, 64, 256])
+@pytest.mark.parametrize("L", [4, 27, 64, 256])
 def test_row_layout_matches_its_segments(L):
-    # sweeps use rows for 4 <= L <= 64; the layout holds at 16-bit fields too
+    # sweeps use rows for 4 <= L <= 64; the layout holds at 9-bit fields
+    # too, and at L = 27 a segment's 2 * 27 * 5 = 270 bits pad to 272
     lanes = analysis._lanes(L)
     row = analysis._Row(lanes)
+    assert row.stride % 8 == 0 and 0 <= row.stride - 2 * lanes.bits < 8
+    if L == 27:
+        assert lanes.width == 5 and row.stride == 272
     rng = random.Random(L)
     a, b, c = (rng.getrandbits(L) for _ in range(3))
     inner = row.rotations(lanes.spread(b))
@@ -443,20 +454,20 @@ def test_row_sweeps_match_reference_scans():
     assert correlation_values(sset("11111111", "11111111", "11111110"), (1, 2, 3)) == {7}
 
 
-def test_verdicts_with_16_bit_fields_match_brute_force_scans():
+def test_verdicts_with_9_bit_fields_match_brute_force_scans():
     duty = ("9/10", "1/30")  # L = 300, and user 1 succeeds in over 255 slots
     built = construct_si(duty)
     broken = random_set(random.Random(300), 2, 300)
     for trial in (built, broken):
         L = trial.period
-        assert L == 300 and analysis._lanes(L).width == 16
+        assert L == 300 and analysis._lanes(L).width == 9
         counts_at = _direct_counts(trial, 1)
         assert is_ti(trial, 1) == first_difference_ti(trial, 1, counts_at)
         correlation_at = partial(hamming_cross_correlation, trial)
         expected = first_difference_si(trial, [1, 2], "SI", correlation_at)
         assert is_si(trial) == expected
     assert is_ti(built, 1).holds and not is_ti(broken, 1).holds
-    # consistency_check sums 16-bit fields whose high bytes are set
+    # consistency_check sums 9-bit fields whose top bits are set
     for trial in (broken, built):
         counts_at = _direct_counts(trial, 1)
         totals = [sum(c) for c in zip(*(counts_at((0, t)) for t in range(300)))]
@@ -465,6 +476,63 @@ def test_verdicts_with_16_bit_fields_match_brute_force_scans():
     closed = ti_throughput(duty, 1).per_user
     assert tuple(Fraction(t, 300 * 300) for t in totals) == closed
     assert consistency_check(duty, 1)
+
+
+def _width_class_trials():
+    """A sparse and a dense set at every period 1-70 and at 255, 256 and
+    300: every field width from 1 to 9 bits.  Three users while rows can
+    engage (L <= 64), two past that."""
+    rng = random.Random(7070)
+    for L in [*range(1, 71), 255, 256, 300]:
+        K = 3 if L <= 64 else 2
+        for p in (0.15, 0.85):
+            yield SequenceSet(tuple(
+                BinarySequence(tuple(int(rng.random() < p) for _ in range(L)))
+                for _ in range(K)
+            ))
+
+
+def test_verdicts_agree_with_direct_scans_at_every_field_width():
+    widths = set()
+    for trial in _width_class_trials():
+        K, L = trial.size, trial.period
+        widths.add(analysis._lanes(L).width)
+        classes = list(itertools.product(range(L), repeat=K - 1))
+        for gamma in range(1, K):
+            # every class's counts from directly rotated masks, once
+            counts_at = _direct_counts(trial, gamma)
+            table = {(0, *rest): counts_at((0, *rest)) for rest in classes}
+            verdict = is_ti(trial, gamma)
+            assert verdict == first_difference_ti(trial, gamma, table.__getitem__)
+            if not verdict.holds:
+                assert verify_witness(trial, verdict)
+                w = verdict.witness
+                values = reference.throughput_at(trial, w.shifts_b, gamma)
+                assert values[w.users[0] - 1] == w.value_b
+            totals = [sum(c) for c in zip(*table.values())]
+            assert analysis._success_totals(trial, gamma, DEFAULT_BUDGET) == totals
+        # every tuple's correlation at every class from directly rotated masks
+        rotations = [[rotate_mask(m, t, L) for t in range(L)] for m in trial.masks]
+
+        def correlation_at(users, shifts):
+            acc = -1
+            for u, t in zip(users, shifts):
+                acc &= rotations[u - 1][t]
+            return acc.bit_count()
+
+        si = is_si(trial)
+        assert si == first_difference_si(trial, range(1, K + 1), "SI", correlation_at)
+        pairwise = is_pairwise_si(trial)
+        assert pairwise == first_difference_si(trial, [2], "PAIRWISE_SI", correlation_at)
+        for verdict in (si, pairwise):
+            if not verdict.holds:
+                w = verdict.witness
+                value = reference.hamming_cross_correlation(trial, w.users, w.shifts_b)
+                assert value == w.value_b
+        for users in itertools.combinations(range(1, K + 1), 3):
+            values = {correlation_at(users, (0, *rest)) for rest in classes}
+            assert correlation_values(trial, users) == values
+    assert widths == {1, 2, 3, 4, 5, 6, 8, 9}
 
 
 def test_correlation_values_cover_every_shift_tuple():
@@ -480,7 +548,7 @@ def test_correlation_values_cover_every_shift_tuple():
                     for shifts in itertools.product(range(L), repeat=m)
                 }
                 assert correlation_values(trial, users) == expected, (trial, users)
-    # 16-bit fields: a pair of period 300 whose correlations exceed 255
+    # 9-bit fields: a pair of period 300 whose correlations exceed 255
     rng = random.Random(300)
     a = BinarySequence.from_mask(rng.getrandbits(300) | ((1 << 300) - (1 << 40)), 300)
     pair = SequenceSet((a, a))
