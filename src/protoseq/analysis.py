@@ -27,16 +27,11 @@ interpreter.  A field is w bits, the narrowest width that holds a count
 of L and has no prime factor above 5 (``_Lanes``): 4, 5 and 6 bits up
 to L = 15, 31 and 63, 8 bits for L = 64-255, 9 bits up to L = 511.
 
-For 4 <= L <= 64 a tuple of three or more members goes on in rows: L
-segments side by side, segment j from bit s·j, where the stride s is
-2·L·w rounded up to whole bytes, holding the tuple with the innermost
-middle member rotated by j slots (``_Row``).  The first member and the
-outer middle members are repeated in every segment, and a segment's
-upper part stays zero, so that its product with the last member stays
-inside it.  Each bitwise operation, product and fold of a score then
-covers L blocks.  The first block, all middle shifts 0, is still scored
-alone before the tuple's rows are built, so a sweep that stops there
-costs one block; rows start over from it.
+A sweep may go on in rows: L segments side by side, segment j holding
+the tuple with the innermost middle member rotated by j slots
+(``_Row``), so that each operation of a score covers L blocks.
+``_Lanes.sweep`` and ``_ROW_PERIODS`` state when rows are used and that
+they start over from the all-zero class.
 
 Two scores fill the sweep: the tuple's correlation (``_correlation``)
 and the per-user success counts of the TI sweep (``_ti_sweep``).  One
@@ -65,7 +60,6 @@ from .core import (
     as_shifts,
     at_most_mask,
     count_planes,
-    hamming_cross_correlation,
     refuse_past,
     rotate_mask,
     rotated_masks,
@@ -298,13 +292,8 @@ class _Lanes:
         """One column per mask m of ``head``: the ones of ``m & fits`` in
         every field, less ``column(m & edge, last)``."""
         ones = self.ones
-        full = self.full
-        columns = []
-        for m in head:
-            product = (m & edge) * last
-            lost = (product & full) + (product >> self.bits)
-            columns.append((m & fits).bit_count() * ones - lost)
-        return columns
+        column = self.column
+        return [(m & fits).bit_count() * ones - column(m & edge, last) for m in head]
 
     def fields(self, packed: int) -> list[int]:
         """All ``period`` fields of a packed column, field 0 first."""
@@ -339,12 +328,15 @@ class _Lanes:
         Blocks ``(middle, layout, columns)`` come in lexicographic order
         of ``middle``, the middle members' shifts at the block's first
         segment, and the first is the all-zero class in one segment.  If
-        the period has a ``row`` layout, a tuple of three or more members
-        goes on in rows, which start over from the all-zero class:
-        segment j of a row puts the innermost middle member at shift j.
-        The first block is scored from the unshifted masks before the
-        rows are built, so a sweep that stops there builds nothing else.
-        Otherwise every block is one segment.
+        the period has a ``row`` layout (``_ROW_PERIODS``), a tuple of
+        three or more members goes on in rows, which start over from the
+        all-zero class: segment j of a row puts the innermost middle
+        member at shift j.  The first block is scored from the unshifted
+        masks before the rows are built, so a sweep that stops there
+        builds nothing else.  Otherwise every block is one segment.
+        Readers key on a block's layout: the first block's is the
+        period's lanes, and a new layout starts over from the all-zero
+        class.
         """
         first = self.spread(masks[0])
         last = self.spread_reversed(masks[-1])
@@ -364,11 +356,12 @@ class _Lanes:
             yield shift, shape, score(shape, first, rotated, last)
 
 
-#: The periods whose sweeps run in rows.  A row's products also multiply
-#: the empty upper half of every segment, twice a block's product work,
-#: which past L = 64 costs more than the interpreter steps of the L
-#: blocks it replaces; below L = 4 a row replaces too few blocks to pay
-#: for building it.
+#: The periods whose sweeps of three or more members run in rows after
+#: the first block, starting over from the all-zero class (``sweep``).  A
+#: row's products also multiply the empty upper half of every segment,
+#: twice a block's product work, which past L = 64 costs more than the
+#: interpreter steps of the L blocks it replaces; below L = 4 a row
+#: replaces too few blocks to pay for building it.
 _ROW_PERIODS = range(4, 65)
 
 
@@ -506,9 +499,13 @@ def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
 
 
 def _first_difference(
-    lanes: _Lanes, blocks: Iterable[_Block]
+    blocks: Iterable[_Block]
 ) -> tuple[int, list[int], tuple[tuple[int, ...], int, int, int] | None]:
     """Compare every shift class of a sweep with the all-zero class.
+
+    The first block of ``_Lanes.sweep`` is that class in one segment, so
+    its layout is the period's lanes; whenever a block's layout changes,
+    the all-zero counts are laid out again in every field of the new one.
 
     Returns ``(checked, first, difference)``: the number of classes
     checked, every column's value at the all-zero class, and None when
@@ -519,14 +516,13 @@ def _first_difference(
     differing field there; i is the lowest column that differs in that
     field, and ``value`` its count.
     """
-    L = lanes.period
-    w = lanes.width
     first = shaped = None
     for middle, shape, columns in blocks:
         if shape is not shaped:
-            # the first block, then the first row: the all-zero class's
-            # counts in every field
             if first is None:
+                lanes = shape
+                L = lanes.period
+                w = lanes.width
                 first = [c >> lanes.top for c in columns]
             shaped = shape
             flat = [v * shape.ones for v in first]
@@ -554,20 +550,18 @@ def _first_difference(
 def _success_totals(sset: SequenceSet, gamma: int, budget: int) -> list[int]:
     """Each user's success counts summed over every shift class of ``_ti_sweep``.
 
-    A column's fields are summed a bit plane at a time: bit b of every
-    field, counted and shifted into place, for every b below the bit
-    length of the period.
+    The sweep's first block is the all-zero class in one segment, and a
+    block of a new layout starts over from that class, so the totals
+    start over whenever a block's layout changes.  A column's fields are
+    summed a bit plane at a time: bit b of every field, counted and
+    shifted into place, for every b below the bit length of the period.
     """
-    blocks = _ti_sweep(sset, gamma, budget)
-    lanes = _lanes(sset.period)
-    if sset.size > 2 and lanes.row:
-        next(blocks)  # the first row scores the first block's classes again
     depth = sset.period.bit_length()
-    totals = [0] * sset.size
     shaped = None
-    for _, shape, columns in blocks:
+    for _, shape, columns in _ti_sweep(sset, gamma, budget):
         if shape is not shaped:
             shaped = shape
+            totals = [0] * sset.size
             planes = [(shape.ones << b, b) for b in range(depth)]
         for i, column in enumerate(columns):
             for plane, b in planes:
@@ -576,16 +570,16 @@ def _success_totals(sset: SequenceSet, gamma: int, budget: int) -> list[int]:
 
 
 def _constant_correlation_scan(
-    sset: SequenceSet, sizes: Sequence[int], prop: str, budget: int
+    sset: SequenceSet, sizes: Sequence[int], prop: str, cost: int, budget: int
 ) -> PropertyVerdict:
+    """Check that every tuple of each size in ``sizes`` has a constant
+    correlation, in order of size and then of users.
+
+    ``cost`` is the scan's slot evaluations, C(K, m)·L^m summed over the
+    sizes, which the caller states in closed form; it is checked against
+    ``budget`` before any layout is built.
+    """
     K = sset.size
-    L = sset.period
-    # C(K, m) * L^m summed over the sizes; over every size from 1 to K
-    # that is (L + 1)^K - 1, by the binomial theorem
-    if sizes == range(1, K + 1):
-        cost = (L + 1) ** K - 1
-    else:
-        cost = sum(comb(K, m) * L ** m for m in sizes)
     refuse_past(cost, budget, _REFUSAL, need=f"{prop} verification needs")
     masks = sset.masks
     checked = 0
@@ -594,10 +588,10 @@ def _constant_correlation_scan(
             # a single schedule's correlation is its ones count at any shift
             checked += K
             continue
-        lanes = _lanes(L)
+        lanes = _lanes(sset.period)
         for users in itertools.combinations(range(1, K + 1), m):
             blocks = lanes.sweep([masks[u - 1] for u in users], _correlation)
-            n, first, difference = _first_difference(lanes, blocks)
+            n, first, difference = _first_difference(blocks)
             checked += n
             if difference is not None:
                 middle, _, t, value = difference
@@ -613,17 +607,20 @@ def is_si(sset: SequenceSet, budget: int = DEFAULT_BUDGET) -> PropertyVerdict:
     first shift is pinned to zero and the remaining m - 1 range over the
     full period.
     """
-    sizes = range(1, sset.size + 1)
-    return _constant_correlation_scan(sset, sizes, "SI", budget)
+    K = sset.size
+    # C(K, m) * L^m summed over m = 1..K: (L + 1)^K - 1, by the binomial theorem
+    cost = (sset.period + 1) ** K - 1
+    return _constant_correlation_scan(sset, range(1, K + 1), "SI", cost, budget)
 
 
 def is_pairwise_si(sset: SequenceSet, budget: int = DEFAULT_BUDGET) -> PropertyVerdict:
     """Shift-independence restricted to user pairs.
 
-    Vacuously true for a single-user set.
+    Vacuously true for a single-user set, which has no pair: 0 classes
+    at a cost of 0.
     """
-    sizes = [2] if sset.size >= 2 else []
-    return _constant_correlation_scan(sset, sizes, "PAIRWISE_SI", budget)
+    cost = comb(sset.size, 2) * sset.period ** 2
+    return _constant_correlation_scan(sset, [2], "PAIRWISE_SI", cost, budget)
 
 
 def correlation_values(sset: SequenceSet, users: Sequence[int]) -> set[int]:
@@ -662,8 +659,7 @@ def is_ti(
     """
     K = sset.size
     L = sset.period
-    blocks = _ti_sweep(sset, gamma, budget)
-    checked, first, difference = _first_difference(_lanes(L), blocks)
+    checked, first, difference = _first_difference(_ti_sweep(sset, gamma, budget))
     if difference is not None:
         outer, i, t, value = difference
         values = Fraction(first[i], L), Fraction(value, L)
@@ -735,8 +731,7 @@ def verify_witness(sset: SequenceSet, verdict: PropertyVerdict) -> bool:
         i = users[0] - 1
 
         def value(shifts: Sequence[int]) -> int:
-            taus = as_shifts(shifts, L, K)
-            rotated = [rotate_mask(mask, tau, L) for mask, tau in zip(masks, taus)]
+            rotated = rotated_masks(masks, shifts, L)
             ok = at_most_mask(count_planes(rotated), gamma, L)
             return (rotated[i] & ok).bit_count()
 
@@ -852,9 +847,7 @@ def check_lemma_theta(
         )
     head = tuple(range(1, split_m + 1))
     _require_subsets_si(sset, head, budget)
-    h_from = hamming_cross_correlation(sset, head, from_shifts)
-    h_to = hamming_cross_correlation(sset, head, to_shifts)
-    delta_top = h_to - h_from
+    delta_top = delta_record(sset, head, from_shifts, to_shifts).deltas[split_m]
     tail = tuple(range(split_m + 1, K + 1))
     profile = theta_profile(sset, tail, tail_shifts) if tail else (L,)
     total = sum(
@@ -1074,9 +1067,8 @@ def find_pairwise_si_not_si(
         if not (m1 and m2 and m3):
             # an empty member makes the triple's correlation 0 at every shift
             continue
-        lanes = _lanes(L)
-        blocks = lanes.sweep((m1, m2, m3), _correlation)
-        if _first_difference(lanes, blocks)[2] is not None:
+        blocks = _lanes(L).sweep((m1, m2, m3), _correlation)
+        if _first_difference(blocks)[2] is not None:
             hits.append(
                 SequenceSet(
                     tuple(BinarySequence.from_mask(m, L) for m in (m1, m2, m3))

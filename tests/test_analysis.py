@@ -590,7 +590,10 @@ def test_si_sweeps_match_first_difference_scan():
         # tuples on their own to reach witnesses with middle shifts
         for m in range(3, K + 1):
             expected = first_difference_si(trial, [m], "SI", correlation_at)
-            scan = analysis._constant_correlation_scan(trial, [m], "SI", DEFAULT_BUDGET)
+            cost = comb(K, m) * trial.period ** m
+            scan = analysis._constant_correlation_scan(
+                trial, [m], "SI", cost, DEFAULT_BUDGET
+            )
             assert scan == expected
 
 
@@ -641,6 +644,20 @@ def test_budget_exceeded_is_an_error_not_a_verdict(example_set):
     assert is_ti(example_set, 1, budget=27**2 * 3 * 27).holds
     with pytest.raises(BudgetExceededError):
         is_ti(example_set, 1, budget=27**2 * 3 * 27 - 1)
+    # the SI scans cost C(K, m) * L^m summed over their tuple sizes m,
+    # exactly: (L + 1)^K - 1 for SI and C(K, 2) * L^2 for pairwise SI
+    rng = random.Random(46)
+    for K in (2, 3, 4):
+        for L in (3, 5, 8):
+            trial = random_set(rng, K, L)
+            costs = (is_si, (L + 1) ** K - 1), (is_pairwise_si, comb(K, 2) * L**2)
+            for verdict, cost in costs:
+                verdict(trial, budget=cost)
+                with pytest.raises(BudgetExceededError):
+                    verdict(trial, budget=cost - 1)
+    # a single user has no pair: 0 classes at a cost of 0
+    single = is_pairwise_si(sset("101"), budget=0)
+    assert single == PropertyVerdict("PAIRWISE_SI", True, None, 0)
 
 
 def test_budget_messages_give_the_cost(example_set):
