@@ -57,11 +57,11 @@ from .core import (
     BinarySequence,
     ProtoseqError,
     SequenceSet,
+    _overlap,
     as_shifts,
     at_most_mask,
     count_planes,
     refuse_past,
-    rotate_mask,
     rotated_masks,
     success_counts,
     theta_profile,
@@ -271,7 +271,7 @@ class _Lanes:
         return self._parse(bin(mask | 1 << self.period)[:2:-1])
 
     def rotations(self, spread: int) -> list[int]:
-        """Entry t is the spread mask rotated by t slots (see ``rotate_mask``)."""
+        """Entry t is the spread mask rotated by t slots (see ``core.rotate_mask``)."""
         doubled = spread | (spread << self.bits)
         full = self.full
         return [(doubled >> b) & full for b in range(0, self.bits, self.width)]
@@ -713,10 +713,7 @@ def verify_witness(sset: SequenceSet, verdict: PropertyVerdict) -> bool:
         members = [masks[u - 1] for u in users]
 
         def value(shifts: Sequence[int]) -> int:
-            acc = -1  # every bit set, so the first AND keeps the first mask
-            for mask, tau in zip(members, as_shifts(shifts, L, len(users))):
-                acc &= rotate_mask(mask, tau, L)
-            return acc.bit_count()
+            return _overlap(members, shifts, L)
 
         equals = operator.eq
 
@@ -878,11 +875,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _common_duty(sset: SequenceSet) -> Fraction | None:
-    factors = set(sset.duty_factors)
-    return factors.pop() if len(factors) == 1 else None
-
-
 def structural_hypotheses(
     size: int, gamma: int, duty_factors: Sequence[Fraction]
 ) -> tuple[str, ...]:
@@ -945,44 +937,32 @@ def structural_conclusion(
     K = sset.size
     ti = is_ti(sset, gamma, budget=budget)
     if not ti.holds:
-        return StructuralReport(
-            gamma=gamma,
-            ti=ti,
-            applicable=(),
-            si=None,
-            notes=("set is not throughput-invariant at this capability",),
-        )
-
-    notes: list[str] = []
-    throughputs = throughput_at(sset, (0,) * K, gamma)
-    positive = all(r > 0 for r in throughputs)
-    if not positive:
-        notes.append(
+        notes = ("set is not throughput-invariant at this capability",)
+        return StructuralReport(gamma, ti, (), None, notes)
+    if not all(throughput_at(sset, (0,) * K, gamma)):
+        notes = (
             "some user has zero throughput; the structural implications "
-            "assume strictly positive throughput and are not applied"
+            "assume strictly positive throughput and are not applied",
         )
+        return StructuralReport(gamma, ti, (), None, notes)
 
-    applicable: list[str] = []
-    if positive:
-        applicable = list(structural_hypotheses(K, gamma, sset.duty_factors))
-        if not applicable and _common_duty(sset) is None:
-            notes.append(
-                "users have unequal duty factors; the common-duty "
-                "implications do not apply"
-            )
-
+    applicable = structural_hypotheses(K, gamma, sset.duty_factors)
     if not applicable:
-        if positive:
-            notes.append("no structural implication applies at this capability")
-        return StructuralReport(gamma, ti, (), None, tuple(notes))
+        notes = ("no structural implication applies at this capability",)
+        if len(set(sset.duty_factors)) > 1:
+            notes = (
+                "users have unequal duty factors; the common-duty "
+                "implications do not apply",
+            ) + notes
+        return StructuralReport(gamma, ti, (), None, notes)
 
     si = is_si(sset, budget=budget)
     if not si.holds:
         raise StructuralContradictionError(
-            f"implications {applicable} force shift-invariance but the set "
-            f"is not SI; witness {si.witness}"
+            f"implications {list(applicable)} force shift-invariance but the "
+            f"set is not SI; witness {si.witness}"
         )
-    return StructuralReport(gamma, ti, tuple(applicable), si, tuple(notes))
+    return StructuralReport(gamma, ti, applicable, si, ())
 
 
 # ---------------------------------------------------------------------------
@@ -990,14 +970,16 @@ def structural_conclusion(
 
 
 def _pair_correlation_constant(m1: int, m2: int, period: int) -> bool:
-    """True iff |m1 & rot(m2, tau)| is the same at every shift tau."""
+    """True iff |m1 & rot(m2, tau)| is the same at every shift tau.
+
+    rot(m2, tau) is the window at tau of the doubled mask (see
+    ``core.rotate_mask``); m1 has no bit at or above the period, so it masks
+    off the window's upper part.
+    """
     base = (m1 & m2).bit_count()
-    r = m2
-    low = 1
-    top = period - 1
-    for _ in range(period - 1):
-        r = (r >> 1) | ((r & low) << top)
-        if (m1 & r).bit_count() != base:
+    doubled = m2 | m2 << period
+    for tau in range(1, period):
+        if (m1 & doubled >> tau).bit_count() != base:
             return False
     return True
 

@@ -22,6 +22,12 @@ transmitters among the rotated masks.  ``at_most_mask`` is the only
 comparator of bit-sliced counter planes with a count: a success is a
 slot with at most gamma transmitters, and ``theta_profile`` takes the
 differences of its popcounts at successive limits.
+
+A rotation by tau is one rule: the window at bit tau of the mask written
+twice, ``mask | mask << L`` (``rotate_mask``).  ``_overlap`` is the only
+AND of rotated masks, the slots where every member of a shifted tuple
+transmits; ``hamming_cross_correlation``, ``count_config`` and the SI
+witness re-check of ``analysis.verify_witness`` all read it.
 """
 
 from __future__ import annotations
@@ -112,12 +118,13 @@ def rotate_mask(mask: int, tau: int, period: int) -> int:
     """Cyclically advance a schedule mask by ``tau`` slots.
 
     Bit t of the result equals bit (t + tau) mod period of the input,
-    matching how a shifted schedule is read on the channel.
+    matching how a shifted schedule is read on the channel: it is the
+    window at bit tau of the mask written twice, ``mask | mask << period``.
     """
     tau %= period
     if tau == 0:
         return mask
-    return ((mask >> tau) | (mask << (period - tau))) & full_mask(period)
+    return ((mask | mask << period) >> tau) & full_mask(period)
 
 
 def count_planes(masks: Iterable[int]) -> list[int]:
@@ -358,6 +365,20 @@ def cyclic_shift(seq: BinarySequence, tau: int) -> BinarySequence:
     return BinarySequence.from_mask(rotate_mask(seq.mask, tau, L), L)
 
 
+def _overlap(masks: Sequence[int], shifts: Sequence[int], period: int) -> int:
+    """Slots where every mask, rotated by its shift, has a one.
+
+    The only AND of rotated masks.  ``masks`` must be non-empty, and the
+    caller validates the users they belong to, so a witness re-check
+    validates once and not for each value; ``as_shifts`` checks one
+    shift per mask.
+    """
+    acc = -1  # every bit set, so the first AND keeps the first mask
+    for mask, tau in zip(masks, as_shifts(shifts, period, len(masks))):
+        acc &= rotate_mask(mask, tau, period)
+    return acc.bit_count()
+
+
 def count_config(
     sset: SequenceSet, shifts: Sequence[int], pattern: Sequence[int]
 ) -> int:
@@ -365,31 +386,21 @@ def count_config(
 
     ``pattern[j] = 1`` demands that user j+1 transmits in the slot,
     ``pattern[j] = 0`` that it stays silent; all K users are constrained
-    at once, so summing over every pattern partitions the period.
+    at once, so summing over every pattern partitions the period.  A
+    silent user is its complement, since rotating a complement gives the
+    complement of the rotation.
     """
     K = sset.size
     L = sset.period
-    masks = rotated_masks(sset.masks, shifts, L)
+    taus = as_shifts(shifts, L, K)
     pat = tuple(int(b) for b in pattern)
     if len(pat) != K:
         raise ValueError(f"pattern length {len(pat)} does not match K={K}")
     if any(b not in (0, 1) for b in pat):
         raise ValueError("pattern entries must be 0 or 1")
     full = full_mask(L)
-    acc = full
-    for m, b in zip(masks, pat):
-        acc &= m if b else ~m & full
-        if not acc:
-            return 0
-    return acc.bit_count()
-
-
-def _tuple_masks(
-    sset: SequenceSet, users: Sequence[int], shifts: Sequence[int]
-) -> list[int]:
-    users = validate_users(users, sset.size)
-    masks = sset.masks
-    return rotated_masks([masks[u - 1] for u in users], shifts, sset.period)
+    rows = [m if b else full ^ m for m, b in zip(sset.masks, pat)]
+    return _overlap(rows, taus, L)
 
 
 def hamming_cross_correlation(
@@ -400,13 +411,9 @@ def hamming_cross_correlation(
     Defined for any non-empty, strictly increasing tuple of users; for a
     pair it is the usual cyclic cross-correlation of the two schedules.
     """
-    masks = _tuple_masks(sset, users, shifts)
-    acc = masks[0]
-    for m in masks[1:]:
-        acc &= m
-        if not acc:
-            return 0
-    return acc.bit_count()
+    users = validate_users(users, sset.size)
+    masks = sset.masks
+    return _overlap([masks[u - 1] for u in users], shifts, sset.period)
 
 
 def theta_profile(
@@ -419,11 +426,12 @@ def theta_profile(
     with at most j - 1.  The top entry equals ``hamming_cross_correlation``
     for the same arguments; the entries always sum to the period.
     """
-    masks = _tuple_masks(sset, users, shifts)
+    users = validate_users(users, sset.size)
+    masks = sset.masks
     L = sset.period
-    planes = count_planes(masks)
+    planes = count_planes(rotated_masks([masks[u - 1] for u in users], shifts, L))
     at_most = [
-        at_most_mask(planes, j, L).bit_count() for j in range(-1, len(masks) + 1)
+        at_most_mask(planes, j, L).bit_count() for j in range(-1, len(users) + 1)
     ]
     return tuple(b - a for a, b in zip(at_most, at_most[1:]))
 

@@ -150,9 +150,8 @@ def _stats_from_counts(counts: np.ndarray, denom: int) -> tuple[UserStats, ...]:
 def _protocol_counts(sset: SequenceSet, cfg: SimConfig) -> np.ndarray:
     """Success counts of every run, shape (runs, K), counted on packed words.
 
-    Bit t of user i's row in a run is bit t + tau of its doubled mask
-    ``m | m << L``, which is ``rotate_mask(m, tau, L)``.  A row is cut
-    from the doubled mask's little-endian 64-bit words by a funnel shift,
+    User i's row in a run is ``core.rotate_mask(m, tau, L)``, cut from the
+    little-endian 64-bit words of the doubled mask by a funnel shift,
     and the rows of a batch of runs are summed in bit-sliced planes
     (the ripple of ``core.count_planes``) and compared with gamma by
     ``core.at_most_mask``, all elementwise on numpy arrays.

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -844,7 +845,12 @@ def test_structural_conclusion_raises_when_forced_si_fails(monkeypatch, example_
     witness = Witness((1, 2), (0, 0), (0, 1), 6, 5)
     forged = PropertyVerdict("SI", False, witness, 1)
     monkeypatch.setattr(analysis, "is_si", lambda *args, **kwargs: forged)
-    with pytest.raises(StructuralContradictionError, match="gamma=1"):
+    message = (
+        "implications ['gamma=1'] force shift-invariance but the set is not SI; "
+        "witness Witness(users=(1, 2), shifts_a=(0, 0), shifts_b=(0, 1), "
+        "value_a=6, value_b=5)"
+    )
+    with pytest.raises(StructuralContradictionError, match=re.escape(message)):
         structural_conclusion(example_set, 1)
 
 
@@ -963,6 +969,40 @@ def test_alternating_binomial_reduction():
 
 # ---------------------------------------------------------------------------
 # random search harness
+
+
+def _pair_constant_by_definition(m1, m2, L):
+    b1 = [(m1 >> t) & 1 for t in range(L)]
+    b2 = [(m2 >> t) & 1 for t in range(L)]
+    values = {
+        sum(b1[t] & b2[(t + tau) % L] for t in range(L)) for tau in range(L)
+    }
+    return len(values) == 1
+
+
+def test_pair_correlation_constant_matches_its_definition():
+    # every mask pair up to L = 7, then seeded random pairs up to L = 64 with
+    # the pairs of built SI sets, whose correlations are constant
+    for L in range(1, 8):
+        for m1, m2 in itertools.product(range(1 << L), repeat=2):
+            assert analysis._pair_correlation_constant(
+                m1, m2, L
+            ) == _pair_constant_by_definition(m1, m2, L)
+    rng = random.Random(31)
+    pairs = []
+    for _ in range(300):
+        L = rng.randint(8, 64)
+        pairs.append((rng.getrandbits(L), rng.getrandbits(L), L))
+    for duty in (["1/2", "1/3"], ["2/3", "1/3", "1/3"], ["1/2", "1/4", "1/8"]):
+        sset = construct_si(duty)
+        for m1, m2 in itertools.permutations(sset.masks, 2):
+            pairs.append((m1, m2, sset.period))
+    constant = 0
+    for m1, m2, L in pairs:
+        expected = _pair_constant_by_definition(m1, m2, L)
+        assert analysis._pair_correlation_constant(m1, m2, L) == expected
+        constant += expected
+    assert constant >= 14
 
 
 def test_search_is_deterministic_and_reports_counts():

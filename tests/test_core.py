@@ -95,6 +95,9 @@ def test_count_config_dimension_mismatch(example_set):
         count_config(example_set, (0, 0), (1, 1, 1))
     with pytest.raises(ValueError, match="0 or 1"):
         count_config(example_set, (0, 0, 0), (1, 2, 0))
+    # with both wrong, the shifts are checked first
+    with pytest.raises(ValueError, match="expected 3 shifts, got 2"):
+        count_config(example_set, (0, 0), (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +176,19 @@ def test_common_shift_invariance():
 
 def test_bitmask_layer_matches_reference():
     rng = random.Random(23)
-    for _ in range(60):
-        sset = random_set(rng, rng.randint(1, 4), rng.randint(1, 10))
-        L = sset.period
-        K = sset.size
+    for _ in range(100):
+        K = rng.randint(1, 4)
+        L = rng.randint(1, 10)
+        # all-zero and all-one rows, and the all-zero pattern, are where
+        # an AND of rotated masks empties or keeps every slot
+        full = (1 << L) - 1
+        rows = [rng.choice((0, full, rng.getrandbits(L))) for _ in range(K)]
+        sset = SequenceSet(tuple(BinarySequence.from_mask(m, L) for m in rows))
         shifts = tuple(rng.randrange(L) for _ in range(K))
-        pattern = tuple(rng.randint(0, 1) for _ in range(K))
+        if rng.random() < 0.25:
+            pattern = (0,) * K
+        else:
+            pattern = tuple(rng.randint(0, 1) for _ in range(K))
         assert count_config(sset, shifts, pattern) == reference.count_config(
             sset, shifts, pattern
         )
@@ -220,12 +230,17 @@ def test_bit_helpers_against_direct_counting():
 
 
 def test_rotate_mask_matches_cyclic_shift():
+    # the definition of a cyclic shift: bit t is bit (t + tau) mod L of the
+    # input, for every tau in [-2L, 3L], 0 and the multiples of L included
     rng = random.Random(9)
     for _ in range(40):
         L = rng.randint(1, 12)
         s = BinarySequence(tuple(rng.randint(0, 1) for _ in range(L)))
-        tau = rng.randint(-L, 3 * L)
-        assert rotate_mask(s.mask, tau, L) == cyclic_shift(s, tau).mask
+        for tau in range(-2 * L, 3 * L + 1):
+            expected = tuple(s.bits[(t + tau) % L] for t in range(L))
+            rotated = rotate_mask(s.mask, tau, L)
+            assert tuple((rotated >> t) & 1 for t in range(L)) == expected
+            assert cyclic_shift(s, tau).bits == expected
 
 
 def test_rotated_masks_rotates_each_mask_to_its_shift():
