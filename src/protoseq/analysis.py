@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -860,65 +860,55 @@ def check_lemma_theta(
 # structural implications
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def structural_hypotheses(
     size: int, gamma: int, duty_factors: Sequence[Fraction]
 ) -> tuple[str, ...]:
     """Which TI-forces-SI implications could apply, from arithmetic alone.
 
-    Checks only the capability value and the duty-factor side conditions
-    (common value, gcd with the denominator, primality); whether the set
-    actually is TI, and whether throughputs are positive, is judged by
-    the caller.  The leading-capability implications need no duty
-    condition; the tagged ones need a shared duty factor n/d outside
-    {0, 1}, an odd prime for the K-3 conditions (so that half of K-2 is
-    an integer), and the stated gcd to be one.  ``duty_factors`` holds
-    one factor per user.
+    Returns the tags, in table order, of the rows whose capability is
+    ``gamma`` and whose side condition holds.  ``duty_factors`` holds one
+    factor per user; "common n/d" means every user has duty factor n/d,
+    and n/d is not 0 or 1.
+
+    =========  ==========  =================================================
+    tag        capability  side condition
+    =========  ==========  =================================================
+    gamma=1    1           none
+    gamma=K-1  K-1         none
+    gamma=2    2           common n/d, gcd(K-2, d) = 1
+    gamma=K-2  K-2         common n/d, gcd(K-2, d) = 1
+    gamma=3    3           common n/d, K even, K-3 prime, gcd((K-2)/2, d) = 1
+    gamma=K-3  K-3         common n/d, K even, K-3 prime, gcd((K-2)/2, d) = 1
+    =========  ==========  =================================================
+
+    Whether the set actually is TI, and whether throughputs are positive,
+    is judged by the caller.
     """
     K = size
     validate_gamma(gamma, K)
     if len(duty_factors) != K:
         raise ValueError(f"expected {K} duty factors, got {len(duty_factors)}")
-    tags: list[str] = []
-    if gamma == 1:
-        tags.append("gamma=1")
-    if gamma == K - 1:
-        tags.append("gamma=K-1")
-    factors = set(Fraction(f) for f in duty_factors)
-    if len(factors) == 1:
-        f = factors.pop()
-        if f not in (0, 1):
-            d = f.denominator
-            if gcd(K - 2, d) == 1:
-                if gamma == 2:
-                    tags.append("gamma=2")
-                if gamma == K - 2:
-                    tags.append("gamma=K-2")
-            half_ok = (
-                _is_prime(K - 3)
-                and (K - 2) % 2 == 0
-                and gcd((K - 2) // 2, d) == 1
-            )
-            if half_ok:
-                if gamma == 3:
-                    tags.append("gamma=3")
-                if gamma == K - 3:
-                    tags.append("gamma=K-3")
-    return tuple(tags)
+    factors = {Fraction(f) for f in duty_factors}
+    common = len(factors) == 1 and factors.isdisjoint((0, 1))
+    d = min(factors).denominator
+    k2_condition = common and gcd(K - 2, d) == 1
+    k3_condition = (
+        common
+        and K % 2 == 0
+        and K - 3 > 1
+        and all((K - 3) % p for p in range(2, isqrt(K - 3) + 1))
+        and gcd((K - 2) // 2, d) == 1
+    )
+    table = (
+        ("gamma=1", 1, True),
+        ("gamma=K-1", K - 1, True),
+        ("gamma=2", 2, k2_condition),
+        ("gamma=K-2", K - 2, k2_condition),
+        ("gamma=3", 3, k3_condition),
+        ("gamma=K-3", K - 3, k3_condition),
+    )
+    return tuple(tag for tag, capability, holds in table
+                 if holds and capability == gamma)
 
 
 def structural_conclusion(

@@ -1,6 +1,7 @@
 """Shared helpers for randomized and exhaustive checks."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -233,6 +234,42 @@ def subset_sum_oracle(duty, gamma):
                 total += term
         out.append(duty[i] * total)
     return tuple(out)
+
+
+def structural_regimes_oracle(K, duty_factors):
+    """The TI-forces-SI regimes as the paper states them: for every
+    capability gamma in [1, K), the tags in the order
+    ``structural_hypotheses`` lists them.
+
+    gamma = 1 and gamma = K - 1 hold with no side condition.  The others
+    need every user at one duty factor n/d other than 0 and 1; then
+    gamma = 2 and gamma = K - 2 need gcd(K - 2, d) = 1, and gamma = 3 and
+    gamma = K - 3 need K - 3 to be an odd prime and gcd((K - 2)/2, d) = 1.
+    """
+    factors = {Fraction(f) for f in duty_factors}
+    common = len(factors) == 1 and factors.isdisjoint({0, 1})
+    d = min(factors).denominator
+    two = common and math.gcd(K - 2, d) == 1
+    p = K - 3
+    odd_prime = p > 2 and p % 2 == 1 and all(p % q for q in range(2, p))
+    three = common and odd_prime and math.gcd((K - 2) // 2, d) == 1
+    out = {}
+    for gamma in range(1, K):
+        tags = []
+        if gamma == 1:
+            tags.append("gamma=1")
+        if gamma == K - 1:
+            tags.append("gamma=K-1")
+        if two and gamma == 2:
+            tags.append("gamma=2")
+        if two and gamma == K - 2:
+            tags.append("gamma=K-2")
+        if three and gamma == 3:
+            tags.append("gamma=3")
+        if three and gamma == K - 3:
+            tags.append("gamma=K-3")
+        out[gamma] = tuple(tags)
+    return out
 
 
 def random_access_slot_oracle(sset, cfg):

@@ -49,6 +49,7 @@ from helpers import (
     first_difference_ti,
     random_set,
     search_oracle,
+    structural_regimes_oracle,
     unpack_block,
     unpack_column,
 )
@@ -826,6 +827,24 @@ def test_structural_hypotheses_arithmetic():
     for wrong in ([], third[:3], third + third[:1]):
         with pytest.raises(ValueError, match="duty factors"):
             structural_hypotheses(4, 1, wrong)
+    # every regime, tags in order, against the paper's statement: K 2-39,
+    # every gamma, every common duty a/b with b <= 15 (0 and 1 included),
+    # those with b <= 5 also as strings and 0 and 1 as ints, plus an
+    # unequal list and one mixing 0 and 1
+    duties = sorted({Fraction(a, b) for b in range(1, 16) for a in range(b + 1)})
+    for K in range(2, 40):
+        lists = [[f] * K for f in duties]
+        lists += [[str(f)] * K for f in duties if f.denominator <= 5]
+        lists += [[0] * K, [1] * K]
+        lists.append([Fraction(1, 2)] * (K - 1) + [Fraction(1, 3)])
+        lists.append([0, 1] * (K // 2) + [0] * (K % 2))
+        for duty in lists:
+            for gamma, tags in structural_regimes_oracle(K, duty).items():
+                assert structural_hypotheses(K, gamma, duty) == tags, (
+                    K, gamma, duty[-1])
+    # K = 3, gamma = 1 meets two rows; the order is the table's
+    assert structural_hypotheses(3, 1, [Fraction(1, 3)] * 3) == (
+        "gamma=1", "gamma=K-2")
 
 
 def test_structural_conclusion_worked_example(example_set):

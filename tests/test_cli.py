@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -76,6 +77,70 @@ def test_verify_reads_the_set_from_stdin(capsys, monkeypatch, worked_file):
     rows = "".join(r + "\n" for r in WORKED_ROWS)
     monkeypatch.setattr(sys, "stdin", io.StringIO(rows))
     assert run_cli(capsys, "verify", "--property", "si", "-") == expected
+
+
+# The `verify` runs that the numpy-free CI job pins as (exit code, stdout
+# SHA-256): two row-layout sets built by `construct`, copies of them with two
+# slots of user 1 swapped (so their sweeps first differ past the first
+# block), and a set of one user, which has no pair
+VERIFY_PINS = [
+    ("rows", ("ti", "--gamma", "2"), 0,
+     "ebbc7e8dfa82fa7c5be967beee330cee3b2b88283edfc5bfa76c37a4f6b0d5ff"),
+    ("rows", ("si",), 0,
+     "aacab1352350eade146c1769fd60d1fa192f248371c940991f7eadb7e3a5dac2"),
+    ("swapped", ("ti", "--gamma", "2"), 1,
+     "7b288abe640b1e786fa4d6669be58ba2e6bcb35446cbf450d5d1c07ffde2a74f"),
+    ("swapped", ("si",), 1,
+     "026221bd9fe274336d1e9d36b17cc9a5140c6341d02159e6e26e541ada13e392"),
+    ("rows36", ("ti", "--gamma", "2"), 0,
+     "7a3adf7845a6affe4bd5f62fb069f07e1990fc48998842944b0026d7d0923e35"),
+    ("rows36", ("si",), 0,
+     "b19fb089eb337a3dfb8a158b26eca28da1b4923e51250210ef58901ed16a5310"),
+    ("swapped36", ("ti", "--gamma", "2"), 1,
+     "a051cb7bad784f37297b0a39c161173206493f0d7a17348897d5c9d1ac4f4ec3"),
+    ("swapped36", ("si",), 1,
+     "b8b3a50610d6afa84d95faceac3ed5d9593fb76dc0a892d0b5bae9666902260b"),
+    ("rows36", ("pairwise-si",), 0,
+     "6b21500b34b43892b3941fcb9d1992eedaa7b8afff52d5807157531c3922f912"),
+    ("swapped36", ("pairwise-si",), 1,
+     "c39442bfbcf5a02e46cc83435bacba5697228d2d893321abfb9eb58267c7f5ac"),
+    ("one", ("pairwise-si",), 0,
+     "44011a68e6a1af30e96e720a1521403ef2235adaffc1a67fea9df9e19e3c67c2"),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_sets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    paths = {}
+    for name, duty in (("rows", "1/2,1/2,1/2,1/3"),
+                       ("rows36", "2/3,1/2,1/3,1/2"),
+                       ("one", "1/3")):
+        paths[name] = root / f"{name}.psq"
+        assert cli.main(["construct", "--duty", duty, "--out", str(paths[name])]) == 0
+    for name, source, (i, j) in (("swapped", "rows", (6, 7)),
+                                 ("swapped36", "rows36", (9, 11))):
+        first, rest = paths[source].read_text().split("\n", 1)
+        row = list(first)
+        row[i], row[j] = row[j], row[i]
+        paths[name] = root / f"{name}.psq"
+        paths[name].write_text("".join(row) + "\n" + rest)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "name, args, status, digest",
+    VERIFY_PINS,
+    ids=[f"{name}-{args[0]}" for name, args, _, _ in VERIFY_PINS],
+)
+def test_verify_matches_the_numpy_free_job_pins(
+    capsys, pinned_sets, name, args, status, digest
+):
+    code, out, err = run_cli(
+        capsys, "verify", "--property", *args, str(pinned_sets[name])
+    )
+    assert code == status, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_ti_violation_exits_one(capsys, tmp_path):
