@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
@@ -779,9 +779,14 @@ def _require_subsets_si(
     for sub in itertools.combinations(users, m - 1):
         verdict = is_si(sset.subset(sub), budget=budget)
         if not verdict.holds:
+            # the witness numbers the subset's users 1..m-1; name them as
+            # users of the set
+            witness = replace(
+                verdict.witness,
+                users=tuple(sub[u - 1] for u in verdict.witness.users),
+            )
             raise PreconditionError(
-                f"user subset {sub} is not shift-invariant; witness "
-                f"{verdict.witness}"
+                f"user subset {sub} is not shift-invariant; witness {witness}"
             )
 
 
@@ -846,6 +851,7 @@ def check_lemma_theta(
     _require_subsets_si(sset, head, budget)
     delta_top = delta_record(sset, head, from_shifts, to_shifts).deltas[split_m]
     tail = tuple(range(split_m + 1, K + 1))
+    tail_shifts = as_shifts(tail_shifts, L, len(tail))
     profile = theta_profile(sset, tail, tail_shifts) if tail else (L,)
     total = sum(
         (-1) ** (split_m - i)

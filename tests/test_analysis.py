@@ -761,6 +761,13 @@ def test_lemma_delta_requires_si_subsets():
     triple = sset("10", "10", "11")
     with pytest.raises(PreconditionError):
         check_lemma_delta(triple, (1, 2, 3), (0, 0, 0), (0, 1, 0))
+    # the witness names the failing subset's users as users of the set
+    four = sset("111000", "110000", "101000", "100100")
+    with pytest.raises(PreconditionError, match=re.escape(
+        "user subset (2, 3) is not shift-invariant; witness "
+        "Witness(users=(2, 3), "
+    )):
+        check_lemma_delta(four, (2, 3, 4), (0, 0, 0), (0, 1, 0))
 
 
 def test_lemma_theta_worked_example(example_set):
@@ -788,6 +795,9 @@ def test_lemma_theta_validation(example_set):
         check_lemma_theta(example_set, 1, 1, (0,), (1,), (0, 0))
     with pytest.raises(ValueError):
         check_lemma_theta(example_set, 2, 2, (0, 0), (1, 1), (0, 0))
+    # the whole set as head leaves an empty tail, which takes no shifts
+    with pytest.raises(ValueError, match="expected 0 shifts, got 1"):
+        check_lemma_theta(example_set, 3, 1, (0, 0, 0), (5, 11, 2), (7,))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from protoseq import (
     parse_sequence_set,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 WORKED_ROWS = (
     "110110110110110110110110110",
     "111000000111000000111000000",
@@ -79,10 +81,10 @@ def test_verify_reads_the_set_from_stdin(capsys, monkeypatch, worked_file):
     assert run_cli(capsys, "verify", "--property", "si", "-") == expected
 
 
-# The `verify` runs that the numpy-free CI job pins as (exit code, stdout
-# SHA-256): two row-layout sets built by `construct`, copies of them with two
-# slots of user 1 swapped (so their sweeps first differ past the first
-# block), and a set of one user, which has no pair
+# `verify` runs pinned as (exit code, stdout SHA-256): two row-layout sets
+# built by `construct`, copies of them with two slots of user 1 swapped (so
+# their sweeps first differ past the first block), and a set of one user,
+# which has no pair
 VERIFY_PINS = [
     ("rows", ("ti", "--gamma", "2"), 0,
      "ebbc7e8dfa82fa7c5be967beee330cee3b2b88283edfc5bfa76c37a4f6b0d5ff"),
@@ -133,7 +135,7 @@ def pinned_sets(tmp_path_factory):
     VERIFY_PINS,
     ids=[f"{name}-{args[0]}" for name, args, _, _ in VERIFY_PINS],
 )
-def test_verify_matches_the_numpy_free_job_pins(
+def test_verify_matches_its_pinned_digests(
     capsys, pinned_sets, name, args, status, digest
 ):
     code, out, err = run_cli(
@@ -342,12 +344,17 @@ def test_simulate_random_scheme_and_byte_determinism(capsys, worked_file):
     assert payload["samples_per_run"] == 81
 
 
-def test_example_command_reproduces_and_is_deterministic(capsys):
+def test_example_command_reproduces_and_is_deterministic(capsys, monkeypatch):
     code_a, out_a, err_a = run_cli(capsys, "example")
     code_b, out_b, err_b = run_cli(capsys, "example")
     assert code_a == code_b == 0
     assert err_a == err_b == ""
     assert out_a == out_b
+    # the stdout digest is pinned once, in the benchmark, and read from there
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import EXAMPLE_DIGEST
+
+    assert hashlib.sha256(out_a.encode()).hexdigest() == EXAMPLE_DIGEST
     assert "s1 = " + WORKED_ROWS[0] in out_a
     assert "R = 8/27, 2/27, 2/27" in out_a
     assert "R = 16/27, 7/27, 7/27" in out_a
@@ -420,34 +427,54 @@ def test_python_m_protoseq_runs_the_command_line(capsys):
     assert done.returncode == 2
 
 
-# Runs each argv given as a JSON list through cli.main in one interpreter and
-# prints whether numpy is loaded after each command, and after the import
-# whether numpy and the test oracle protoseq.reference are.
+# Runs each step given as a JSON list in one interpreter: a list is an argv
+# for cli.main, a string the path of a script to run as __main__.  It prints
+# a line after `import protoseq`, with whether the test oracle
+# protoseq.reference is loaded, and one after each step, with a command's
+# exit code.  After a tab, each line lists the top-level modules loaded since
+# before the import that are neither in the standard library nor protoseq;
+# site hooks that load at start-up do not count.
 _FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, runpy, sys
+before = set(sys.modules)
+def outside():
+    names = {m.partition(".")[0] for m in set(sys.modules) - before}
+    return " ".join(sorted(names - set(sys.stdlib_module_names) - {"protoseq"}))
+def report(label):
+    print(label, outside(), sep="\\t")
+import protoseq
+report(f"import {'protoseq.reference' in sys.modules}")
 from protoseq import cli
-print("import", "numpy" in sys.modules, "protoseq.reference" in sys.modules)
-for argv in json.loads(sys.argv[1]):
+for step in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    print(argv[0], code, "numpy" in sys.modules)
+        if isinstance(step, str):
+            runpy.run_path(step, run_name="__main__")
+            label = os.path.basename(step)
+        else:
+            label = f"{step[0]} {cli.main(step)}"
+    report(label)
 """
 
 
 def test_only_monte_carlo_and_duty_search_load_numpy(worked_file):
+    """The package, every command but simulate, optimal-f and session, and
+    the demos that need no numpy load only the standard library; those
+    three commands load numpy."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
 
-    def footprint(*commands):
+    def footprint(*steps):
         done = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT, json.dumps(commands)],
+            [sys.executable, "-c", _FOOTPRINT, json.dumps(steps)],
+            input="".join(r + "\n" for r in WORKED_ROWS),
             capture_output=True, text=True, env=env,
         )
         assert done.stderr == ""
-        return done.stdout.splitlines()
+        lines = (line.split("\t") for line in done.stdout.splitlines())
+        return [(label, set(names.split())) for label, names in lines]
 
     duty = ["--duty", "2/3,1/3,1/3"]
-    assert footprint(
+    *free, (label, loaded) = footprint(
         ["example"],
         ["construct", *duty],
         ["bound", *duty],
@@ -455,19 +482,24 @@ def test_only_monte_carlo_and_duty_search_load_numpy(worked_file):
         ["curve", "--users", "2..6", "--gamma", "1,2", "--f", "1/3"],
         ["verify", "--property", "ti", "--gamma", "1", worked_file],
         ["verify", "--property", "si", worked_file],
+        ["verify", "--property", "pairwise-si", "-"],
+        *(str(ROOT / "demos" / name) for name in
+          ("01_worked_example.py", "03_period_bounds.py", "06_structure.py")),
         ["simulate", "--gamma", "2", "--runs", "100", "--seed", "5", worked_file],
-    ) == [
-        "import False False", "example 0 False", "construct 0 False", "bound 0 False",
-        "throughput 0 False", "curve 0 False", "verify 0 False", "verify 0 False",
-        "simulate 0 True",
-    ]
-    assert footprint(["optimal-f", "--users", "5", "--gamma", "1"]) == [
-        "import False False", "optimal-f 0 True",
-    ]
-    # a session draws its shifts from the seeded Philox generator
-    assert footprint(
-        ["session", "--gamma", "1", "--periods", "6", "--seed", "2", worked_file]
-    ) == ["import False False", "session 0 True"]
+    )
+    assert free == [(step, set()) for step in (
+        "import False", "example 0", "construct 0", "bound 0", "throughput 0",
+        "curve 0", "verify 0", "verify 0", "verify 0",
+        "01_worked_example.py", "03_period_bounds.py", "06_structure.py",
+    )]
+    assert label == "simulate 0" and "numpy" in loaded
+    # the duty search's float grid and a session's seeded Philox shifts
+    for argv in (["optimal-f", "--users", "5", "--gamma", "1"],
+                 ["session", "--gamma", "1", "--periods", "6", "--seed", "2",
+                  worked_file]):
+        free, (label, loaded) = footprint(argv)
+        assert free == ("import False", set())
+        assert label == f"{argv[0]} 0" and "numpy" in loaded
 
 
 def test_round_trip_verdicts_match_in_memory(capsys, tmp_path):

@@ -278,6 +278,7 @@ def test_binary_sequence_constructors_agree():
         )
         for s in forms:
             assert (s.period, s.mask, s.bits, s.ones) == (L, mask, bits, sum(bits))
+            assert len(s) == s.period
             assert s.to_string() == text
             assert s == forms[0] and hash(s) == hash(forms[0])
     assert BinarySequence.from_mask(0b01, 2) != BinarySequence.from_mask(0b01, 3)

@@ -1,5 +1,5 @@
 """Each demo script runs to completion against the package in this tree, and
-the demos that need no numpy print the bytes the numpy-free CI job pins."""
+the demos that need no numpy print pinned bytes."""
 
 import hashlib
 import os
@@ -11,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# stdout SHA-256, copied from the numpy-free job in .github/workflows/tests.yml
+# stdout SHA-256 of the demos that need no numpy; that they load only the
+# standard library is pinned by tests/test_cli.py's footprint test
 DIGESTS = {
     "01_worked_example.py":
         "b2c3ae207801c582a26088ec4a2eab3bff540feff0af08e0046e63cf6034285e",
