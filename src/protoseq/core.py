@@ -230,12 +230,14 @@ class BinarySequence:
         """Schedule from a '0'/'1' string, slot 0 first.
 
         Surrounding whitespace is ignored; anything else that is not a
-        '0' or a '1' is rejected.
+        '0' or a '1' is rejected, by the one row reader that
+        ``parse_sequence_set`` uses (see ``_row_mask``).
         """
         text = text.strip()
-        if not _is_binary(text):
+        mask = _row_mask(text)
+        if mask is None:
             raise ValueError("schedule entries must be 0 or 1")
-        return cls.from_mask(int(text[::-1] or "0", 2), len(text))
+        return cls.from_mask(mask, len(text))
 
     @cached_property
     def bits(self) -> tuple[int, ...]:
@@ -440,10 +442,28 @@ def theta_profile(
 # text interchange format
 
 
-def _is_binary(text: str) -> bool:
-    """Whether ``text`` holds only '0' and '1' characters, by two counts
-    at C speed."""
-    return text.count("0") + text.count("1") == len(text)
+#: Row ends that ``int(row[::-1], 2)`` reads as a sign or a base prefix.
+_INT_SYNTAX_ENDS = ("+", "-", "b0", "B0")
+
+
+def _row_mask(row: str) -> int | None:
+    """Mask of a stripped schedule row, slot 0 first, or None unless the
+    row holds only '0' and '1' characters.
+
+    ``int()`` of the reversed row reads and checks it in one pass.  First
+    the row is rejected where ``int()`` would accept more than 0/1
+    digits: a non-ASCII row (Unicode digits; ``isascii`` is O(1)), an
+    underscore anywhere, and a sign or a ``0b`` prefix, which reversal
+    puts at the row's end.  Whitespace never reaches ``int()`` at either
+    end of a stripped row, and inside one it is a ``ValueError``.  The
+    empty row reads as 0.
+    """
+    if not row.isascii() or "_" in row or row.endswith(_INT_SYNTAX_ENDS):
+        return None
+    try:
+        return int(row[::-1] or "0", 2)
+    except ValueError:
+        return None
 
 
 def parse_sequence_set(text: str) -> SequenceSet:
@@ -451,9 +471,9 @@ def parse_sequence_set(text: str) -> SequenceSet:
 
     Lines hold only '0'/'1' characters; blank lines and lines starting
     with '#' are ignored; every schedule line must have the same length,
-    which becomes the common period.  Each schedule line is validated
-    once, by an exact linear check (its '0' and '1' counts add up to its
-    length), and then read straight into its mask, so parsing is linear
+    which becomes the common period.  Each schedule line is read into its
+    mask and checked in the same pass, by ``int()`` behind a guard of
+    O(1) and memchr-speed tests (see ``_row_mask``), so parsing is linear
     in the text.
     """
     rows = []
@@ -461,16 +481,17 @@ def parse_sequence_set(text: str) -> SequenceSet:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if not _is_binary(line):
+        mask = _row_mask(line)
+        if mask is None:
             raise ValueError(f"line {lineno}: only '0'/'1' characters allowed")
-        rows.append(line)
+        rows.append((mask, len(line)))
     if not rows:
         raise ValueError("no schedules found")
-    period = len(rows[0])
-    if any(len(r) != period for r in rows):
+    period = rows[0][1]
+    if any(length != period for _, length in rows):
         raise ValueError("all schedule lines must have equal length")
     return SequenceSet(
-        tuple(BinarySequence.from_mask(int(r[::-1], 2), period) for r in rows)
+        tuple(BinarySequence.from_mask(mask, period) for mask, _ in rows)
     )
 
 

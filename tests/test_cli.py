@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -427,21 +428,63 @@ def test_python_m_protoseq_runs_the_command_line(capsys):
     assert done.returncode == 2
 
 
+def _third_party(modules, before):
+    """Top-level names of the modules in ``modules`` but not in ``before``
+    that are neither standard library nor protoseq.
+
+    A module is standard library when ``sys.stdlib_module_names`` lists
+    its top-level name, or when its file lies under the interpreter's
+    standard library directories and outside any site-packages: CPython
+    loads ``_sysconfigdata_*`` from there, and that list omits it.
+    """
+    # imported here: ``_FOOTPRINT`` runs this source as it stands
+    import os, sys, sysconfig
+
+    paths = sysconfig.get_paths()
+    stdlib = tuple(os.path.join(paths[key], "") for key in ("stdlib", "platstdlib"))
+    names = set()
+    for name in set(modules) - before:
+        top = name.partition(".")[0]
+        if top in sys.stdlib_module_names or top == "protoseq":
+            continue
+        path = getattr(modules[name], "__file__", None) or ""
+        if not path.startswith(stdlib) or "site-packages" in path.split(os.sep):
+            names.add(top)
+    return names
+
+
+def test_third_party_flags_site_packages_and_not_sysconfig_data():
+    import sysconfig
+    import types
+
+    import hypothesis
+
+    sysconfig.get_config_vars()  # loads CPython's _sysconfigdata_* module
+    data = {name: module for name, module in sys.modules.items()
+            if name.startswith("_sysconfigdata")}
+    assert data and not set(data) & sys.stdlib_module_names
+    # a package under the standard library directory, but in its site-packages
+    planted = types.ModuleType("planted")
+    planted.__file__ = os.path.join(
+        sysconfig.get_paths()["stdlib"], "site-packages", "planted", "__init__.py")
+    modules = {**data, "json": json, "hypothesis": hypothesis, "planted": planted,
+               "protoseq.cli": cli}
+    assert _third_party(modules, set()) == {"hypothesis", "planted"}
+    assert _third_party(modules, {"hypothesis", "planted"}) == set()
+
+
 # Runs each step given as a JSON list in one interpreter: a list is an argv
 # for cli.main, a string the path of a script to run as __main__.  It prints
 # a line after `import protoseq`, with whether the test oracle
 # protoseq.reference is loaded, and one after each step, with a command's
 # exit code.  After a tab, each line lists the top-level modules loaded since
-# before the import that are neither in the standard library nor protoseq;
-# site hooks that load at start-up do not count.
-_FOOTPRINT = """
+# before the import that ``_third_party`` counts; site hooks that load at
+# start-up do not count.
+_FOOTPRINT = inspect.getsource(_third_party) + """
 import contextlib, io, json, os, runpy, sys
 before = set(sys.modules)
-def outside():
-    names = {m.partition(".")[0] for m in set(sys.modules) - before}
-    return " ".join(sorted(names - set(sys.stdlib_module_names) - {"protoseq"}))
 def report(label):
-    print(label, outside(), sep="\\t")
+    print(label, " ".join(sorted(_third_party(sys.modules, before))), sep="\\t")
 import protoseq
 report(f"import {'protoseq.reference' in sys.modules}")
 from protoseq import cli

@@ -383,3 +383,25 @@ def test_text_format_errors():
         parse_sequence_set("10x\n")
     with pytest.raises(ValueError):
         parse_sequence_set("# nothing\n")
+
+
+@pytest.mark.parametrize("row, one_row, alone, after_rows", [
+    *((row, "schedule entries must be 0 or 1", "line 2: only '0'/'1' characters allowed",
+       "line 3: only '0'/'1' characters allowed")
+      for row in ("1b0", "1B0", "10+", "01-", "1_0", "0\u0660", "1\uff11", "1 0")),
+    ("", "a schedule needs at least one slot", "no schedules found",
+     "all schedule lines must have equal length"),
+])
+def test_text_rejections_keep_their_messages(row, one_row, alone, after_rows):
+    """Rows that ``int(row[::-1], 2)`` would read (a prefix, a sign, an
+    underscore, Unicode digits) or reject, and the empty row: the message
+    from ``from_string``, from a text where the row is line 2, and from
+    one where it follows two rows of different lengths."""
+    for parse, text, message in (
+        (BinarySequence.from_string, row, one_row),
+        (parse_sequence_set, f"# rows\n{row}\n", alone),
+        (parse_sequence_set, f"10\n100\n{row}\n", after_rows),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert str(info.value) == message, (parse, text)

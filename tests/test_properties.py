@@ -11,13 +11,16 @@ loaded in ``conftest.py``), so every run checks the same sets.
 import dataclasses
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from protoseq import (
     BinarySequence,
     SequenceSet,
     SimConfig,
+    construct_si,
     format_sequence_set,
     is_pairwise_si,
     is_si,
@@ -177,10 +180,25 @@ def test_format_then_parse_returns_the_set(trial):
     assert parse_sequence_set(format_sequence_set(trial)) == trial
 
 
-#: Digits, characters ``int(text, 2)`` would take or skip, comment marks,
-#: ASCII and Unicode whitespace (some of them line breaks), and Unicode
-#: digits 1 and 0 that are not '1' and '0'.
-TEXT_ALPHABET = "01_+-bx# \t\r\v\f\n\x85\u00a0\u2028\u3000\uff11\u0660"
+@pytest.mark.parametrize("fill", ["left", "random"])
+def test_long_rows_round_trip_and_match_the_strip_validator(fill, monkeypatch):
+    # the drawn texts hold rows of at most 30 characters; the top ladder
+    # rung's rows of 510510 slots take int()'s long-input path
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import TOP_RUNG
+
+    built = construct_si(TOP_RUNG, fill, seed=7)
+    text = format_sequence_set(built)
+    assert built.period == 510510
+    assert parse_sequence_set(text) == built == strip_parse_oracle(text)
+
+
+#: Digits, characters ``int(text, 2)`` would take or skip (an underscore,
+#: signs, the ``0b``/``0B`` prefix letters, and the ``x`` and ``o`` of
+#: prefixes base 2 refuses), comment marks, ASCII and Unicode whitespace
+#: (some of them line breaks), and Unicode digits 1 and 0 that are not
+#: '1' and '0'.
+TEXT_ALPHABET = "01_+-bBxo# \t\r\v\f\n\x85\u00a0\u2028\u3000\uff11\u0660"
 LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x85", "\u2028")
 
 
