@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 property violation or mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -380,6 +381,7 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protoseq",
@@ -452,8 +454,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call in a process and reused after
+    that: ``parse_args`` gives each call a fresh namespace, and help and
+    usage text read the terminal width when they are printed.
+    """
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

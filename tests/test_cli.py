@@ -428,6 +428,46 @@ def test_python_m_protoseq_runs_the_command_line(capsys):
     assert done.returncode == 2
 
 
+def test_main_builds_its_parser_once_per_process(capsys):
+    parser = cli._build_parser()
+    for argv in (["example"], ["bound", "--duty", "1/2"], ["example"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_a_command_takes_nothing_from_the_one_before(capsys, monkeypatch):
+    left = format_sequence_set(construct_si(["1/2", "1/3"]))
+    argv = ["construct", "--duty", "1/2,1/3"]
+    assert run_cli(capsys, *argv, "--fill", "random", "--seed", "3")[0] == 0
+    assert run_cli(capsys, *argv) == (0, left, "")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct"])
+    assert exc.value.code == 2
+    assert "--duty" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "example")
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import EXAMPLE_DIGEST
+
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_DIGEST
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["construct", "--help"], ["construct"], ["no-such-command"],
+], ids=["help", "construct-help", "missing-duty", "unknown-command"])
+def test_help_and_usage_match_a_freshly_built_parser(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    printed = []
+    for parse in (cli.main, cli._build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        printed.append((exc.value.code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == (0 if "--help" in argv else 2)
+
+
 def _third_party(modules, before):
     """Top-level names of the modules in ``modules`` but not in ``before``
     that are neither standard library nor protoseq.

@@ -30,7 +30,7 @@ def test_frontier_settles_the_first_two_rungs(tmp_path):
     record = json.loads(out.read_text())
     assert set(record) == {"environment", "limit_s", "frontier", "table", "bench"}
     assert record["limit_s"] == 2 and record["bench"] is None
-    legs = ("build-left", "build-random", "si", "pairwise-si", "ti")
+    legs = ("build-left", "build-random", "cli", "si", "pairwise-si", "ti")
     assert record["frontier"] == {leg: {"K": 3, "L": 30} for leg in legs}
     assert [(row["K"], row["L"], len(row["duty"])) for row in record["table"]] == [
         (2, 6, 2), (3, 30, 3)]
@@ -42,6 +42,12 @@ def test_frontier_settles_the_first_two_rungs(tmp_path):
                 assert set(cell["steps_s"]) == {"construct", "format", "parse"}
                 assert cell["round_trip"] is True
                 assert cell["pinned_digest"] is (True if leg == "build-left" else None)
+                continue
+            if leg == "cli":
+                assert cell["parser_s"] > 0
+                assert set(cell["steps_s"]) == {"construct", "bound", "throughput"}
+                assert cell["exit_codes"] == dict.fromkeys(cell["steps_s"], 0)
+                assert cell["pinned_digest"] is True
                 continue
             found = tuple(
                 [(v["prop"], v["gamma"], v["holds"], v["configurations_checked"])

@@ -16,6 +16,12 @@ further rung.  The legs:
   (the random one seeded), then ``format_sequence_set`` and
   ``parse_sequence_set``, recording whether the parsed set equals the
   built one and whether a pinned rung's left-fill text has its digest.
+- ``cli``: ``protoseq.cli.main`` in process, after the parser's first
+  build (timed on its own), for ``construct --duty <rung> --out <file>``,
+  ``bound --duty <rung>`` and ``throughput --duty <rung> --gamma
+  max(1, K // 2)``, recording each command's seconds and exit code and
+  whether a pinned rung's written file has its digest.  Verdict commands
+  stay out of it, so the verdict legs' timeouts do not end this one.
 - ``si``, ``pairwise-si`` and ``ti`` (every gamma): the verdict on the
   left-fill set and on a copy with one 1 and one 0 of user 1 swapped
   (same weights, neither SI nor pairwise SI; see ``_swapped``).  Each
@@ -32,6 +38,7 @@ read-only.  The output JSON then holds the last line of each workload of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -41,11 +48,12 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LEGS = ("build-left", "build-random", "si", "pairwise-si", "ti")
+LEGS = ("build-left", "build-random", "cli", "si", "pairwise-si", "ti")
 FILL_SEED = 7
 CALIBRATIONS = 5
 
@@ -101,6 +109,28 @@ def _build_leg(duty, fill, pinned) -> dict:
     }
 
 
+def _cli_leg(duty, pinned) -> dict:
+    from protoseq import cli
+
+    spec = ",".join(duty)
+    _, parser_s = _timed(cli._build_parser)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "set.psq"
+        commands = {
+            "construct": ["construct", "--duty", spec, "--out", str(out)],
+            "bound": ["bound", "--duty", spec],
+            "throughput": ["throughput", "--duty", spec, "--gamma", str(max(1, len(duty) // 2))],
+        }
+        steps, codes = {}, {}
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            for name, argv in commands.items():
+                codes[name], steps[name] = _timed(cli.main, argv)
+        matches = None if pinned is None else (
+            hashlib.sha256(out.read_bytes()).hexdigest() == pinned)
+    return {"parser_s": parser_s, "steps_s": steps, "exit_codes": codes,
+            "pinned_digest": matches}
+
+
 def _verdict_leg(duty, leg) -> dict:
     from protoseq import construct_si, is_pairwise_si, is_si, is_ti
 
@@ -139,6 +169,8 @@ def run_cell(index: int, leg: str) -> dict:
     start = time.perf_counter()
     if leg.startswith("build-"):
         record = _build_leg(duty, leg.removeprefix("build-"), pinned)
+    elif leg == "cli":
+        record = _cli_leg(duty, pinned)
     else:
         record = _verdict_leg(duty, leg)
     seconds = time.perf_counter() - start
