@@ -15,17 +15,18 @@ rational arithmetic.  Searches that would exceed the evaluation budget
 raise instead of silently passing.
 
 One generator (``_Lanes.sweep``) lays out every sweep: the TI and SI
-verdicts, ``correlation_values`` and the pairwise-SI search.  It spreads
-a tuple's masks into lanes (slot t at bit w·t), walks the middle
-members' shifts and hands the layout to a score, which counts all L
-shifts of the last member at once: one big-integer product of a spread
-mask with the last member's spread mask read backwards leaves the count
-at each shift in its own field.  A block of L shift classes then costs
-one product of two L·w-bit integers per column (Karatsuba time in
-CPython, about (L·w)^1.6), instead of L popcounts run one by one in the
-interpreter.  A field is w bits, the narrowest width that holds a count
-of L and has no prime factor above 5 (``_Lanes``): 4, 5 and 6 bits up
-to L = 15, 31 and 63, 8 bits for L = 64-255, 9 bits up to L = 511.
+verdicts, ``throughput.consistency_check``, ``correlation_values`` and
+the pairwise-SI search.  It spreads a tuple's masks into lanes (slot t
+at bit w·t), walks the middle members' shifts and hands the layout to a
+score, which counts all L shifts of the last member at once: one
+big-integer product of a spread mask with the last member's spread mask
+read backwards leaves the count at each shift in its own field.  A block
+of L shift classes then costs one product of two L·w-bit integers per
+column (Karatsuba time in CPython, about (L·w)^1.6), instead of L
+popcounts run one by one in the interpreter.  A field is w bits, the
+narrowest width that holds a count of L and has no prime factor above 5
+(``_Lanes``): 4, 5 and 6 bits up to L = 15, 31 and 63, 8 bits for
+L = 64-255, 9 bits up to L = 511.
 
 A sweep may go on in rows: L segments side by side, segment j holding
 the tuple with the innermost middle member rotated by j slots
@@ -37,8 +38,9 @@ Two scores fill the sweep: the tuple's correlation (``_correlation``)
 and the per-user success counts of the TI sweep (``_ti_sweep``).  One
 locator (``_first_difference``) finds the first class that differs from
 the all-zero class: in a row, the lowest segment where any column
-differs, then the highest differing field in it.  No other module reads
-the lane format.
+differs, then the highest differing field in it.  It is the only reader
+of the TI sweep, for ``is_ti`` and ``throughput.consistency_check``
+alike.  No other module reads the lane format.
 """
 
 from __future__ import annotations
@@ -545,28 +547,6 @@ def _first_difference(
             value = (columns[i] >> (w * f)) & ((1 << w) - 1)
             return before * L + L - f, first, (middle, i, L - 1 - f, value)
     return L ** (len(middle) + 1), first, None
-
-
-def _success_totals(sset: SequenceSet, gamma: int, budget: int) -> list[int]:
-    """Each user's success counts summed over every shift class of ``_ti_sweep``.
-
-    The sweep's first block is the all-zero class in one segment, and a
-    block of a new layout starts over from that class, so the totals
-    start over whenever a block's layout changes.  A column's fields are
-    summed a bit plane at a time: bit b of every field, counted and
-    shifted into place, for every b below the bit length of the period.
-    """
-    depth = sset.period.bit_length()
-    shaped = None
-    for _, shape, columns in _ti_sweep(sset, gamma, budget):
-        if shape is not shaped:
-            shaped = shape
-            totals = [0] * sset.size
-            planes = [(shape.ones << b, b) for b in range(depth)]
-        for i, column in enumerate(columns):
-            for plane, b in planes:
-                totals[i] += (column & plane).bit_count() << b
-    return totals
 
 
 def _constant_correlation_scan(

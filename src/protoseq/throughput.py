@@ -16,7 +16,7 @@ from math import comb, inf, prod
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .core import DEFAULT_BUDGET, MAX_ENTRIES, refuse_past, validate_gamma
-from .analysis import _success_totals
+from .analysis import _first_difference, _ti_sweep
 from .construction import as_duty_factors, construct_si
 
 if TYPE_CHECKING:
@@ -148,16 +148,17 @@ def consistency_check(
 ) -> bool:
     """Cross-validate the closed form against the built set, exhaustively.
 
-    Builds the set for the duty factors, averages the per-user success
-    counts over every shift class (first shift pinned), and compares the
-    exact average with the closed form.
+    Builds the set for the duty factors and asks the TI sweep what
+    ``is_ti`` asks: True iff every user's success count is the same at
+    every shift class (first shift pinned) and that count, as a fraction
+    of the period, is the closed form.  Refuses at the same budget as
+    ``is_ti``, L^(K-1)·K·L slot evaluations.
     """
     duty = as_duty_factors(duty)
     sset = construct_si(duty)
-    # L^(K-1) shift classes of L slots each
-    slots = sset.period ** sset.size
-    average = tuple(Fraction(t, slots) for t in _success_totals(sset, gamma, budget))
-    return average == ti_throughput(duty, gamma).per_user
+    _, first, difference = _first_difference(_ti_sweep(sset, gamma, budget))
+    counts = tuple(Fraction(c, sset.period) for c in first)
+    return difference is None and counts == ti_throughput(duty, gamma).per_user
 
 
 def _symmetric_values(f: np.ndarray, users: int, gamma: int) -> np.ndarray:

@@ -7,9 +7,13 @@ import pytest
 
 from protoseq import throughput
 from protoseq import (
+    BinarySequence,
     BudgetExceededError,
+    SequenceSet,
     consistency_check,
+    construct_si,
     curve_csv,
+    is_ti,
     optimal_duty,
     symmetric_throughput,
     throughput_curve,
@@ -181,6 +185,21 @@ def test_consistency_with_built_sets():
     assert consistency_check(WORKED, 1, budget=27**2 * 3 * 27)
     with pytest.raises(BudgetExceededError):
         consistency_check(WORKED, 1, budget=27**2 * 3 * 27 - 1)
+
+
+def test_consistency_fails_on_a_set_that_is_not_ti(monkeypatch):
+    # moving one of user 1's ones into the next slot keeps every weight,
+    # so an average over all shift classes would still match the closed
+    # form, but the set is no longer TI
+    built = construct_si(WORKED)
+    masks = (built.masks[0] ^ 0b110, *built.masks[1:])
+    broken = SequenceSet(tuple(
+        BinarySequence.from_mask(m, built.period) for m in masks
+    ))
+    assert broken.duty_factors == built.duty_factors
+    assert not is_ti(broken, 1).holds
+    monkeypatch.setattr(throughput, "construct_si", lambda duty: broken)
+    assert consistency_check(WORKED, 1) is False
 
 
 def test_optimal_duty_single_capability():
