@@ -41,9 +41,17 @@ def as_duty_factors(values: Iterable) -> tuple[Fraction, ...]:
     Accepts Fractions, ints, strings like "2/3", floats with exact binary
     values, or (num, den) pairs.  Inputs such as 2/4 reduce to 1/2; a
     zero denominator raises ``ValueError``, as any other invalid input.
+    A ``Fraction`` in [0, 1] is returned as itself, so a checked tuple
+    passes through again at the cost of a type test per factor; any
+    other value, a ``Fraction`` subclass included, is converted to a
+    plain ``Fraction``.
     """
     out = []
     for v in values:
+        # a Fraction is in lowest terms with a positive denominator
+        if type(v) is Fraction and 0 <= v.numerator <= v.denominator:
+            out.append(v)
+            continue
         try:
             f = Fraction(*v) if isinstance(v, tuple) else Fraction(v)
         except ZeroDivisionError:
@@ -71,11 +79,12 @@ def parse_duty_spec(text: str) -> tuple[Fraction, ...]:
 def min_period_bound(duty: Iterable) -> int:
     """Product of the duty denominators: the floor any matching set's period
     must be divisible by, and the period the builder actually achieves."""
-    duty = as_duty_factors(duty)
-    prod = 1
-    for f in duty:
-        prod *= f.denominator
-    return prod
+    return _period(as_duty_factors(duty))
+
+
+def _period(duty: tuple[Fraction, ...]) -> int:
+    """Product of the denominators of checked duty factors."""
+    return math.prod([f.denominator for f in duty])
 
 
 def si_divisibility(duty: Iterable, subset: Sequence[int]) -> int:
@@ -114,13 +123,14 @@ def subset_divisors(duty: Iterable, subsets: Iterable[Sequence[int]]) -> list[in
 def _layout(duty: Iterable, fill: str) -> tuple[tuple[Fraction, ...], int]:
     """Checked duty factors and common period of a build.
 
-    Builds of more than ``DEFAULT_BUDGET`` slots in total are refused
-    before anything is allocated.
+    The duty factors are checked once, here.  Builds of more than
+    ``DEFAULT_BUDGET`` slots in total are refused before anything is
+    allocated.
     """
     duty = as_duty_factors(duty)
     if fill not in ("left", "random"):
         raise ValueError("fill must be 'left' or 'random'")
-    L = min_period_bound(duty)
+    L = _period(duty)
     message = "{k} schedules of period {L} exceed the budget of {limit} slots"
     refuse_past(len(duty) * L, DEFAULT_BUDGET, message, k=len(duty), L=L)
     return duty, L
@@ -132,13 +142,14 @@ def build_arrays(
     """Per-user 0/1 layout arrays with exactly n_i ones in each row.
 
     ``fill="left"`` packs the ones into the leading columns of every row,
-    which makes the construction deterministic.  ``fill="random"`` picks
-    the one-columns per row with a seeded generator; any row fill yields
-    a shift-invariant set, and tests exercise both.  Layouts for sets of
+    which makes the construction deterministic: it draws nothing and
+    ignores ``seed``.  ``fill="random"`` picks the one-columns per row
+    with a ``random.Random(seed)`` generator; any row fill yields a
+    shift-invariant set, and tests exercise both.  Layouts for sets of
     more than ``DEFAULT_BUDGET`` slots are refused up front.
     """
     duty, _ = _layout(duty, fill)
-    rng = random.Random(seed)
+    rng = random.Random(seed) if fill == "random" else None
     arrays = []
     rows = 1
     for f in duty:
@@ -163,15 +174,16 @@ def construct_si(
     The common period is the product of the duty denominators; schedule i
     is its ``build_arrays`` array read out column by column (rows top to
     bottom inside a column) and repeated periodically.  Each schedule's
-    mask is built directly, in time linear in the period.  The random
-    fill makes the same draws as ``build_arrays``: each row's one-columns
-    are those ``random.Random(seed).sample(range(d), n)`` picks, by an
-    inline copy of ``sample`` on ``getrandbits`` (see ``_fill_rows``), so
-    every seed gives the same set.  Sets of more than ``DEFAULT_BUDGET``
-    slots in total are refused before anything is allocated.
+    mask is built directly, in time linear in the period.  The left fill
+    draws nothing and ignores ``seed``.  The random fill makes the same
+    draws as ``build_arrays``: each row's one-columns are those
+    ``random.Random(seed).sample(range(d), n)`` picks, by an inline copy
+    of ``sample`` on ``getrandbits`` (see ``_fill_rows``), so every seed
+    gives the same set.  Sets of more than ``DEFAULT_BUDGET`` slots in
+    total are refused before anything is allocated.
     """
     duty, L = _layout(duty, fill)
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits = random.Random(seed).getrandbits if fill == "random" else None
     sequences = []
     rows = 1
     for f in duty:

@@ -152,7 +152,9 @@ def consistency_check(
     ``is_ti`` asks: True iff every user's success count is the same at
     every shift class (first shift pinned) and that count, as a fraction
     of the period, is the closed form.  Refuses at the same budget as
-    ``is_ti``, L^(K-1)·K·L slot evaluations.
+    ``is_ti``, L^(K-1)·K·L slot evaluations.  The duty factors are
+    checked once; the build and the closed form get the checked
+    Fractions, which ``as_duty_factors`` passes through as they are.
     """
     duty = as_duty_factors(duty)
     sset = construct_si(duty)

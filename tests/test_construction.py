@@ -111,6 +111,40 @@ def test_duty_factor_validation():
         as_duty_factors([])
     with pytest.raises(ValueError):
         parse_duty_spec("")
+    # a Fraction out of range takes the full check and its message
+    for bad in (Fraction(3, 2), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match=rf"^duty factor {bad} outside \[0, 1\]$"):
+            as_duty_factors([Fraction(1, 2), bad])
+    # a checked tuple passes through as the same objects
+    checked = as_duty_factors(["2/3", "0", "1", "1/3"])
+    assert all(a is b for a, b in zip(as_duty_factors(checked), checked, strict=True))
+
+    class Duty(Fraction):
+        pass
+
+    (plain,) = as_duty_factors([Duty(1, 3)])
+    assert type(plain) is Fraction and plain == Fraction(1, 3)
+
+
+def test_left_fill_reads_no_random_state(monkeypatch):
+    import protoseq.construction
+    from protoseq import throughput
+
+    duty = ("2/3", "1/3", "1/3")
+    expected = (construct_si(duty), construct_si(duty, "left", seed=5),
+                build_arrays(duty), throughput.consistency_check(duty, 1))
+
+    def no_generator(*args):
+        raise AssertionError("the left fill built a random generator")
+
+    monkeypatch.setattr(protoseq.construction.random, "Random", no_generator)
+    assert (construct_si(duty), construct_si(duty, "left", seed=5),
+            build_arrays(duty), throughput.consistency_check(duty, 1)) == expected
+    # the stub is live: the random fill goes through it
+    with pytest.raises(AssertionError, match="built a random generator"):
+        construct_si(duty, "random", seed=5)
+    with pytest.raises(AssertionError, match="built a random generator"):
+        build_arrays(duty, "random", seed=5)
 
 
 def test_construction_realizes_duty_exactly():
