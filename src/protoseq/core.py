@@ -300,7 +300,7 @@ class SequenceSet:
     def masks(self) -> tuple[int, ...]:
         return tuple(s.mask for s in self.sequences)
 
-    @property
+    @cached_property
     def duty_factors(self) -> tuple[Fraction, ...]:
         return tuple(s.duty for s in self.sequences)
 

@@ -48,6 +48,12 @@ def test_duty_factor_lowest_terms():
     assert (f.numerator, f.denominator) == (1, 2)
 
 
+def test_set_derives_its_duty_factors_once():
+    s = SequenceSet.from_strings(["110100", "100000", "011011"])
+    assert s.duty_factors is s.duty_factors
+    assert s.duty_factors == tuple(q.duty for q in s.sequences)
+
+
 def test_cyclic_shift_examples():
     assert cyclic_shift(seq("110"), 1).bits == (1, 0, 1)
     assert cyclic_shift(seq("110"), 3).bits == (1, 1, 0)

@@ -30,9 +30,8 @@ further rung.  The legs:
 Each cell records its seconds, peak RSS, and each verdict with its
 ``configurations_checked``.  Seconds are given as measured and scaled to
 the reference speed of ``bench/run.py``'s calibration kernel, imported
-read-only.  The output JSON then holds the last line of each workload of
-``bench/run.py --workload all --seed 7 --seconds <--bench-seconds>``;
-``--bench-seconds 0`` leaves them out.
+read-only.  Speed claims between two checkouts come from
+``tools/pairs.py``, not from this file.
 """
 
 from __future__ import annotations
@@ -192,10 +191,12 @@ def run_cell(index: int, leg: str) -> dict:
 def frontier_table(count: int | None, limit: float) -> dict:
     """Run the first ``count`` rungs (all if None) on every leg; a leg
     stops at its first timeout."""
+    from protoseq import min_period_bound
+
     table = []
     frontier = dict.fromkeys(LEGS)  # leg -> the largest rung it settled
     for index, (duty, _) in enumerate(rungs()[:count]):
-        K, L = len(duty), math.prod(int(f.split("/")[1]) for f in duty)
+        K, L = len(duty), min_period_bound(duty)
         cells = {}
         for leg in LEGS:
             if "timeout" in (row["cells"][leg] for row in table):
@@ -215,27 +216,12 @@ def frontier_table(count: int | None, limit: float) -> dict:
     return {"limit_s": limit, "frontier": frontier, "table": table}
 
 
-def bench_lines(seconds: float) -> dict:
-    """Result line of each workload of ``bench/run.py --workload all``."""
-    from run import WORKLOAD_NAMES
-
-    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "all",
-           "--seed", "7", "--seconds", str(seconds)]
-    done = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True, cwd=ROOT)
-    results = [json.loads(line) for line in done.stdout.splitlines()
-               if line.startswith("{")]
-    return {"command": " ".join(["python3", "bench/run.py", *cmd[2:]]),
-            "results": dict(zip(WORKLOAD_NAMES, results))}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="JSON file to write")
     parser.add_argument("--rungs", type=int, help="run only the first RUNGS rungs")
     parser.add_argument("--limit", type=float, default=30.0,
                         help="wall-clock seconds per (rung, leg)")
-    parser.add_argument("--bench-seconds", type=float, default=25.0,
-                        help="--seconds of the bench/run.py lines; 0 leaves them out")
     parser.add_argument("--cell", nargs=2, metavar=("RUNG", "LEG"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     # protoseq from this checkout; bench/ last, so it shadows no module
@@ -250,7 +236,6 @@ def main(argv=None) -> int:
         "environment": {"python": platform.python_version(),
                         "machine": platform.machine(), "nproc": os.cpu_count()},
         **frontier_table(args.rungs, args.limit),
-        "bench": bench_lines(args.bench_seconds) if args.bench_seconds else None,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
     return 0
