@@ -6,7 +6,10 @@ that holds for all pairs, and throughput-invariant (TI) at receiver
 capability gamma when every user's per-period success count is the same
 under all shifts.  The verifiers here enumerate shift space exhaustively
 and return verdicts carrying either a proof of coverage (the number of
-configurations checked) or a concrete counterexample witness.
+configurations checked) or a concrete counterexample witness.  The TI
+verdict can instead enumerate only the shift classes that the rows'
+minimal periods tell apart (``method="periodic"``), which still cover
+every configuration.
 
 Enumeration always pins the first shift of a tuple to zero: adding a
 common offset to all shifts only relabels slots cyclically, so each
@@ -34,13 +37,22 @@ the tuple with the innermost middle member rotated by j slots
 ``_Lanes.sweep`` and ``_ROW_PERIODS`` state when rows are used and that
 they start over from the all-zero class.
 
+A sweep may also be reduced: each middle member's shift ranges over its
+own range instead of the period, one segment per block.  The TI sweep
+of ``is_ti(method="periodic")`` and ``throughput.consistency_check``
+(``_periodic_ti``) is one: a configuration depends on each shift only
+modulo its row's minimal period, so the product of those periods, over
+all users but one pinned, covers every configuration.
+
 Two scores fill the sweep: the tuple's correlation (``_correlation``)
 and the per-user success counts of the TI sweep (``_ti_sweep``).  One
 locator (``_first_difference``) finds the first class that differs from
 the all-zero class: in a row, the lowest segment where any column
-differs, then the highest differing field in it.  It is the only reader
-of the TI sweep, for ``is_ti`` and ``throughput.consistency_check``
-alike.  No other module reads the lane format.
+differs, then the highest differing field in it.  It counts classes in
+mixed radix, each member's shifts one digit, so that a reduced sweep
+counts the classes it enumerates.  It is the only reader of the TI
+sweep, for ``is_ti`` and ``throughput.consistency_check`` alike.  No
+other module reads the lane format.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -63,6 +75,7 @@ from .core import (
     as_shifts,
     at_most_mask,
     count_planes,
+    minimal_period,
     refuse_past,
     rotated_masks,
     success_counts,
@@ -272,11 +285,14 @@ class _Lanes:
         # a top bit set above the period keeps the leading zeros
         return self._parse(bin(mask | 1 << self.period)[:2:-1])
 
-    def rotations(self, spread: int) -> list[int]:
-        """Entry t is the spread mask rotated by t slots (see ``core.rotate_mask``)."""
+    def rotations(self, spread: int, count: int | None = None) -> list[int]:
+        """Entry t is the spread mask rotated by t slots (see
+        ``core.rotate_mask``), for the first ``count`` shifts, or all
+        ``period`` of them."""
         doubled = spread | (spread << self.bits)
         full = self.full
-        return [(doubled >> b) & full for b in range(0, self.bits, self.width)]
+        stop = self.bits if count is None else self.width * count
+        return [(doubled >> b) & full for b in range(0, stop, self.width)]
 
     def column(self, spread: int, last: int) -> int:
         """Counts |mask & rot(last, tau)| for every tau, packed in fields.
@@ -317,7 +333,9 @@ class _Lanes:
         ]
         return [(c >> b) & field for c in chunks for b in offsets][: self.period]
 
-    def sweep(self, masks: Sequence[int], score: _Score) -> Iterator[_Block]:
+    def sweep(
+        self, masks: Sequence[int], score: _Score, ranges: Sequence[int] | None = None
+    ) -> Iterator[_Block]:
         """Score a tuple at every shift class, first shift pinned to zero.
 
         ``masks`` holds the tuple's two or more members: the first, the
@@ -329,20 +347,27 @@ class _Lanes:
 
         Blocks ``(middle, layout, columns)`` come in lexicographic order
         of ``middle``, the middle members' shifts at the block's first
-        segment, and the first is the all-zero class in one segment.  If
-        the period has a ``row`` layout (``_ROW_PERIODS``), a tuple of
-        three or more members goes on in rows, which start over from the
-        all-zero class: segment j of a row puts the innermost middle
-        member at shift j.  The first block is scored from the unshifted
-        masks before the rows are built, so a sweep that stops there
-        builds nothing else.  Otherwise every block is one segment.
-        Readers key on a block's layout: the first block's is the
-        period's lanes, and a new layout starts over from the all-zero
-        class.
+        segment, and the first is the all-zero class in one segment.  The
+        middle members' shifts run over the period, or each over
+        ``range(r)`` for its entry r of ``ranges`` (a reduced sweep); the
+        last member's run over the period in every block.  If the period
+        has a ``row`` layout (``_ROW_PERIODS``), a full sweep of three or
+        more members goes on in rows, which start over from the all-zero
+        class: segment j of a row puts the innermost middle member at
+        shift j.  The first block is scored from the unshifted masks
+        before the rows are built, so a sweep that stops there builds
+        nothing else.  Otherwise, and in every reduced sweep, each block
+        is one segment.  Readers key on a block's layout: the first
+        block's is the period's lanes, and a new layout starts over from
+        the all-zero class.
         """
         first = self.spread(masks[0])
         last = self.spread_reversed(masks[-1])
-        if len(masks) < 3 or self.row is None:
+        if ranges is not None:
+            shape = self
+            middle = zip(masks[1:-1], ranges)
+            tables = [self.rotations(self.spread(m), r) for m, r in middle]
+        elif len(masks) < 3 or self.row is None:
             shape = self
             tables = [self.rotations(self.spread(m)) for m in masks[1:-1]]
         else:
@@ -460,26 +485,41 @@ _Block = tuple[tuple[int, ...], _Lanes | _Row, list[int]]
 _REFUSAL = "{need} {amount} slot evaluations, budget is {limit}"
 
 
-def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
+
+def _ti_sweep(
+    sset: SequenceSet,
+    gamma: int,
+    budget: int,
+    order: Sequence[int] | None = None,
+    ranges: Sequence[int] | None = None,
+    cost: int | None = None,
+) -> Iterator[_Block]:
     """Per-user success counts at every shift class, first shift pinned to zero.
 
-    The blocks of ``_Lanes.sweep`` over the whole set; ``columns[i]``
-    packs user i+1's success counts with the last user at every shift,
-    shift t in field L - 1 - t of a segment.  The capability and the
-    budget are checked on the call, before any layout is built.
+    The blocks of ``_Lanes.sweep`` over the set's users, in user order or
+    in ``order`` (user indices from 0), with ``ranges`` as the sweep takes
+    them; ``columns[i]`` packs member i+1's success counts with the last
+    member at every shift, shift t in field L - 1 - t of a segment.  The
+    capability and the budget, ``cost`` or the exhaustive sweep's
+    L^(K-1)·K·L slot evaluations, are checked on the call, before any
+    layout is built.
 
-    The score counts the first K - 1 users once per block: a slot where
-    at most gamma - 1 of them fire (``room``) lets every packet through
-    whatever the last user does, and a slot where exactly gamma of them
-    fire (``edge``) lets theirs through only while the last user is
-    silent.  Both come from ``at_most_mask``: ``fits``, the slots where at
-    most gamma of them fire, is ``room`` and ``edge`` together.  One
-    product per user then scores every shift of the last user at once.
+    The score counts all members but the last once per block: a slot
+    where at most gamma - 1 of them fire (``room``) lets every packet
+    through whatever the last member does, and a slot where exactly
+    gamma of them fire (``edge``) lets theirs through only while the last
+    member is silent.  Both come from ``at_most_mask``: ``fits``, the
+    slots where at most gamma of them fire, is ``room`` and ``edge``
+    together.  One product per member then scores every shift of the
+    last member at once.
     """
     K = sset.size
     L = sset.period
     validate_gamma(gamma, K)
-    refuse_past(L ** (K - 1) * K * L, budget, _REFUSAL, need="TI verification needs")
+    if cost is None:
+        cost = L ** (K - 1) * K * L
+    refuse_past(cost, budget, _REFUSAL, need="TI verification needs")
+    masks = sset.masks if order is None else [sset.masks[u] for u in order]
 
     def score(
         shape: _Lanes | _Row, first: int, rotated: Sequence[int], last: int
@@ -491,23 +531,85 @@ def _ti_sweep(sset: SequenceSet, gamma: int, budget: int) -> Iterator[_Block]:
         # fits holds room, so this leaves the slots with exactly gamma;
         # the bits between lanes count zero, fall in both and cancel
         edge = fits ^ room
-        # successes while the last user is silent, less the edge slots
-        # lost where the last user fires too
+        # successes while the last member is silent, less the edge slots
+        # lost where the last member fires too
         columns = shape.successes(head, fits, edge, last)
         columns.append(shape.column(room & shape.ones, last))
         return columns
 
-    return _lanes(L).sweep(sset.masks, score)
+    return _lanes(L).sweep(masks, score, ranges)
+
+
+def _periodic_ti(
+    sset: SequenceSet, gamma: int, budget: int, nominal: bool = False
+) -> tuple[int, list[int], tuple[int, tuple[int, ...], int] | None]:
+    """The period-reduced TI sweep, read by ``_first_difference`` in user
+    order.
+
+    A configuration depends on each shift only modulo its row's minimal
+    period p_u (``core.minimal_period``).  The sweep pins the
+    lowest-numbered user of longest period at shift 0 and makes the
+    highest-numbered user of longest period among the rest its last
+    member, whose L lanes cover every shift; every other user's shift
+    ranges over its p_u, in user order.  So a set whose rows all have
+    period L is swept as the exhaustive sweep sweeps it.  Adding a common
+    offset that brings the pin to shift 0 and reducing each other shift
+    modulo its period maps every configuration onto one of these ∏ p_u
+    classes (the product over all users but the pin): each is met once
+    when the pin has period L, and more often otherwise.
+
+    Returns ``(checked, first, difference)``: the classes checked, every
+    user's count at the all-zero class, and None when every class
+    matches it; otherwise ``(i, shifts, value)``, the first differing
+    class in mixed radix: user i+1 counts ``value`` at ``shifts``, one
+    shift per user.  The budget is the classes' ∏ p_u·K·L slot
+    evaluations, or the C(K, 2)·L^2 of ``is_ti``'s pairwise cross-check
+    where that is more; with ``nominal`` it is the exhaustive sweep's
+    L^(K-1)·K·L.
+    """
+    K = sset.size
+    L = sset.period
+    validate_gamma(gamma, K)  # a single user has no pin and last member
+    periods = [minimal_period(m, L) for m in sset.masks]
+    pin = periods.index(max(periods))
+    rest = [u for u in range(K) if u != pin]
+    last = max(reversed(rest), key=periods.__getitem__)
+    order = [pin, *[u for u in rest if u != last], last]
+    radices = [periods[u] for u in order[1:]]
+    # the pairwise cross-check of a positive ``is_ti`` verdict costs
+    # C(K, 2)·L^2, within the exhaustive sweep's cost but not always
+    # within this one's, and is refused here rather than after the sweep
+    cost = None if nominal else max(prod(radices) * K * L, comb(K, 2) * L * L)
+    # a sweep whose middle members all range over the period is a full one
+    ranges = radices[:-1] if min(radices[:-1], default=L) < L else None
+    blocks = _ti_sweep(sset, gamma, budget, order=order, ranges=ranges, cost=cost)
+    checked, counts, difference = _first_difference(blocks, radices)
+    first = [0] * K
+    for u, c in zip(order, counts):
+        first[u] = c
+    if difference is not None:
+        outer, i, t, value = difference
+        shifts = [0] * K
+        for u, s in zip(order[1:], (*outer, t)):
+            shifts[u] = s
+        difference = order[i], tuple(shifts), value
+    return checked, first, difference
 
 
 def _first_difference(
-    blocks: Iterable[_Block]
+    blocks: Iterable[_Block], radices: Sequence[int] | None = None
 ) -> tuple[int, list[int], tuple[tuple[int, ...], int, int, int] | None]:
     """Compare every shift class of a sweep with the all-zero class.
 
     The first block of ``_Lanes.sweep`` is that class in one segment, so
     its layout is the period's lanes; whenever a block's layout changes,
     the all-zero counts are laid out again in every field of the new one.
+
+    Classes count in mixed radix: ``radices`` holds the number of shifts
+    of each middle member and then of the last member, all L when it is
+    None.  A reduced sweep's last radix may be less than L, since its
+    last member's counts repeat with that radix and so first differ below
+    it.
 
     Returns ``(checked, first, difference)``: the number of classes
     checked, every column's value at the all-zero class, and None when
@@ -529,9 +631,14 @@ def _first_difference(
             shaped = shape
             flat = [v * shape.ones for v in first]
         if columns != flat:
-            before = 0  # the blocks of L classes before the differing one
-            for s in middle:
-                before = before * L + s
+            before = 0  # the blocks before the differing one
+            if radices is None:
+                for s in middle:
+                    before = before * L + s
+                radices = (L,)
+            else:
+                for s, r in zip(middle, radices):
+                    before = before * r + s
             if shape is not lanes:
                 # narrow a row to its lowest segment where a column differs
                 differences = map(operator.xor, columns, flat)
@@ -545,8 +652,10 @@ def _first_difference(
             f = max(tops)
             i = tops.index(f)
             value = (columns[i] >> (w * f)) & ((1 << w) - 1)
-            return before * L + L - f, first, (middle, i, L - 1 - f, value)
-    return L ** (len(middle) + 1), first, None
+            t = L - 1 - f
+            return before * radices[-1] + t + 1, first, (middle, i, t, value)
+    checked = prod(radices) if radices else L ** (len(middle) + 1)
+    return checked, first, None
 
 
 def _constant_correlation_scan(
@@ -624,26 +733,53 @@ def correlation_values(sset: SequenceSet, users: Sequence[int]) -> set[int]:
     return values
 
 
+#: The methods of ``is_ti``; the first is the default.
+TI_METHODS = ("exhaustive", "periodic")
+
+
 def is_ti(
-    sset: SequenceSet, gamma: int, budget: int = DEFAULT_BUDGET
+    sset: SequenceSet,
+    gamma: int,
+    budget: int = DEFAULT_BUDGET,
+    method: str = "exhaustive",
 ) -> PropertyVerdict:
     """Verify that per-user throughput is the same at every shift assignment.
 
-    Enumerates all shift classes with the first user's shift pinned to
-    zero.  When the verdict is positive and every throughput is strictly
+    The default ``method="exhaustive"`` enumerates all L^(K-1) shift
+    classes with the first user's shift pinned to zero, at a cost of
+    L^(K-1)·K·L slot evaluations.  ``method="periodic"`` enumerates the
+    ∏ p_u classes of the period-reduced sweep (``_periodic_ti``), which
+    cover every configuration: p_u is user u's minimal period and the
+    product runs over all users but the one pinned.  Its cost is
+    ∏ p_u·K·L, or the pairwise cross-check's C(K, 2)·L^2 where that is
+    more; its ``configurations_checked`` counts those classes, and a
+    negative verdict may name another witness than the exhaustive one,
+    which ``verify_witness`` re-checks as any other.
+
+    When the verdict is positive and every throughput is strictly
     positive, the pairwise shift-invariance that such a set must exhibit
     is re-verified; a failure there signals an internal fault and
     raises.  Sets with a zero-throughput user can be TI without being
     pairwise SI (a silent user is trivially invariant), so the
-    cross-check does not apply to them.
+    cross-check does not apply to them.  An unknown method raises
+    ``ValueError``.
     """
     K = sset.size
     L = sset.period
-    checked, first, difference = _first_difference(_ti_sweep(sset, gamma, budget))
+    if method == "exhaustive":
+        checked, first, difference = _first_difference(_ti_sweep(sset, gamma, budget))
+        if difference is not None:
+            outer, i, t, value = difference
+            shifts = (0, *outer, t)
+    elif method == "periodic":
+        checked, first, difference = _periodic_ti(sset, gamma, budget)
+        if difference is not None:
+            i, shifts, value = difference
+    else:
+        raise ValueError(f"unknown TI method {method!r}; use one of {TI_METHODS}")
     if difference is not None:
-        outer, i, t, value = difference
         values = Fraction(first[i], L), Fraction(value, L)
-        witness = Witness((i + 1,), (0,) * K, (0, *outer, t), *values)
+        witness = Witness((i + 1,), (0,) * K, shifts, *values)
         return PropertyVerdict("TI", False, witness, checked, gamma)
     if all(v > 0 for v in first):
         pairwise = is_pairwise_si(sset, budget=budget)

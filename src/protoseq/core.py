@@ -24,7 +24,8 @@ slot with at most gamma transmitters, and ``theta_profile`` takes the
 differences of its popcounts at successive limits.
 
 A rotation by tau is one rule: the window at bit tau of the mask written
-twice, ``mask | mask << L`` (``rotate_mask``).  ``_overlap`` is the only
+twice, ``mask | mask << L`` (``rotate_mask``); a schedule's minimal
+period is the least rotation that keeps it (``minimal_period``).  ``_overlap`` is the only
 AND of rotated masks, the slots where every member of a shifted tuple
 transmits; ``hamming_cross_correlation``, ``count_config`` and the SI
 witness re-check of ``analysis.verify_witness`` all read it.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Integral
 from operator import lt
 from typing import Iterable, Sequence
@@ -51,6 +52,7 @@ __all__ = [
     "theta_profile",
     "full_mask",
     "rotate_mask",
+    "minimal_period",
     "rotated_masks",
     "count_planes",
     "at_most_mask",
@@ -125,6 +127,37 @@ def rotate_mask(mask: int, tau: int, period: int) -> int:
     if tau == 0:
         return mask
     return ((mask | mask << period) >> tau) & full_mask(period)
+
+
+@lru_cache(maxsize=64)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing ``n`` >= 1, smallest first, by trial
+    division."""
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 + (q > 2)  # 2, then the odd numbers
+    return (*primes, n) if n > 1 else tuple(primes)
+
+
+def minimal_period(mask: int, period: int) -> int:
+    """The least p >= 1 with ``rotate_mask(mask, p, period) == mask``.
+
+    The rotations that keep a schedule form the multiples of its minimal
+    period, which divides ``period``; so starting from the period, each
+    prime q is divided out of p while the rotation by p / q keeps the
+    mask: one rotate-and-compare per prime factor of the period counted
+    with multiplicity, plus one per distinct prime.
+    """
+    p = period
+    for q in _prime_factors(period):
+        while p % q == 0 and rotate_mask(mask, p // q, period) == mask:
+            p //= q
+    return p
 
 
 def count_planes(masks: Iterable[int]) -> list[int]:

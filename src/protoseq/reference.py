@@ -34,6 +34,12 @@ def _rotated(bits: tuple[int, ...], tau: int) -> tuple[int, ...]:
     return bits[tau:] + bits[:tau]
 
 
+def minimal_period(bits: Sequence[int]) -> int:
+    """The least p >= 1 such that the row rotated by p slots is the row."""
+    bits = tuple(bits)
+    return next(p for p in range(1, len(bits) + 1) if _rotated(bits, p) == bits)
+
+
 def count_config(sset: SequenceSet, shifts: Sequence[int], pattern: Sequence[int]) -> int:
     L = sset.period
     taus = as_shifts(shifts, L, sset.size)

@@ -14,7 +14,7 @@ from protoseq import (
     as_duty_factors,
     count_config,
 )
-from protoseq import analysis, simulator
+from protoseq import analysis, reference, simulator
 from protoseq.core import rotate_mask, success_counts
 
 
@@ -112,6 +112,47 @@ def first_difference_ti(sset, gamma, counts_at):
                 (i + 1,),
                 (0,) * K,
                 (0,) + rest,
+                Fraction(baseline[i], L),
+                Fraction(counts[i], L),
+            )
+            return PropertyVerdict("TI", False, witness, checked, gamma)
+    return PropertyVerdict("TI", True, None, checked, gamma)
+
+
+def periodic_first_difference_ti(sset, gamma, counts_at):
+    """``is_ti(method="periodic")`` verdict of a brute-force scan.
+
+    Each row's minimal period p_u comes from ``reference.minimal_period``.
+    The lowest-numbered user of longest period is pinned at shift 0, the
+    highest-numbered user of longest period among the rest is scanned
+    innermost, and the others in user order before it; user u's shift
+    runs over range(p_u), in lexicographic order of the scan.  The
+    witness names the first user in that order, the pin first, whose
+    count differs.
+    """
+    K = sset.size
+    L = sset.period
+    periods = [reference.minimal_period(seq.bits) for seq in sset.sequences]
+    pin = min(u for u in range(K) if periods[u] == max(periods))
+    rest = [u for u in range(K) if u != pin]
+    last = max(u for u in rest if periods[u] == max(periods[v] for v in rest))
+    order = [pin] + [u for u in rest if u != last] + [last]
+    baseline = None
+    checked = 0
+    for scanned in itertools.product(*(range(periods[u]) for u in order[1:])):
+        checked += 1
+        shifts = [0] * K
+        for u, s in zip(order[1:], scanned):
+            shifts[u] = s
+        counts = tuple(counts_at(shifts))
+        if baseline is None:
+            baseline = counts
+        elif counts != baseline:
+            i = next(u for u in order if counts[u] != baseline[u])
+            witness = Witness(
+                (i + 1,),
+                (0,) * K,
+                tuple(shifts),
                 Fraction(baseline[i], L),
                 Fraction(counts[i], L),
             )

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -316,6 +317,85 @@ def test_ti_sweep_matches_direct_counts_and_first_difference_scan():
             assert is_ti(trial, gamma) == expected
             if expected.holds:
                 assert expected.configurations_checked == L ** (K - 1)
+
+
+def test_reduced_sweep_runs_one_segment_per_block_in_mixed_radix():
+    # a row-layout period: full sweeps go on in rows, a reduced one
+    # never does, and its blocks come in lexicographic order of the ranges
+    L = 12
+    trial = sset("110011001100", "100100100100", "101101101101", "100000100000")
+    for ranges in ((4, 3), (1, 12), (12, 1)):
+        blocks = list(analysis._ti_sweep(trial, 1, DEFAULT_BUDGET, ranges=ranges))
+        assert [middle for middle, _, _ in blocks] == list(
+            itertools.product(*map(range, ranges)))
+        assert all(shape is analysis._lanes(L) for _, shape, _ in blocks)
+        counts_at = _direct_counts(trial, 1)
+        for block in blocks:
+            ((middle, columns),) = unpack_block(block, L)
+            for t in range(L):
+                assert tuple(c[t] for c in columns) == counts_at((0, *middle, t))
+
+
+#: The built K = 5 ladder rung: rows of minimal period 2, 6, 30, 210 and
+#: 2310, so the period-reduced sweep pins user 5, sweeps users 1-3 over
+#: 2·6·30 blocks and keeps user 4's L lanes: 2·6·30·210 classes.
+RUNG_5 = ("1/2", "1/3", "2/5", "3/7", "5/11")
+RUNG_5_CLASSES = 2 * 6 * 30 * 210
+
+
+def test_periodic_ti_settles_the_built_five_user_rung():
+    built = construct_si(RUNG_5)
+    L = built.period
+    assert L == 2310
+    cost = RUNG_5_CLASSES * 5 * L
+    verdict = is_ti(built, 4, budget=cost, method="periodic")
+    assert verdict == PropertyVerdict("TI", True, None, RUNG_5_CLASSES, 4)
+    with pytest.raises(BudgetExceededError) as exc:
+        is_ti(built, 4, budget=cost - 1, method="periodic")
+    assert str(exc.value) == (
+        f"TI verification needs {cost} slot evaluations, budget is {cost - 1}")
+    # the exhaustive sweep of the same set costs L^4·K·L
+    with pytest.raises(BudgetExceededError, match=f"needs {L**4 * 5 * L} slot"):
+        is_ti(built, 4, budget=cost)
+    # user 1 moves a one into the zero after it: the same weights, not TI
+    mask = built.masks[0]
+    t = (mask & ~rotate_mask(mask, 1, L)).bit_length() - 1  # a one before a zero
+    moved = BinarySequence.from_mask(mask ^ 1 << t ^ 1 << (t + 1) % L, L)
+    swapped = SequenceSet((moved, *built.sequences[1:]))
+    # user 1 now has period L, so users 1 and 5 both do; at gamma = 4 the
+    # first difference lies past 6,000 blocks, a few seconds in
+    for gamma in range(1, 4):
+        verdict = is_ti(swapped, gamma, budget=math.inf, method="periodic")
+        assert not verdict.holds and verify_witness(swapped, verdict)
+        w = verdict.witness
+        i = w.users[0] - 1
+        assert [reference.throughput_at(swapped, s, gamma)[i]
+                for s in (w.shifts_a, w.shifts_b)] == [w.value_a, w.value_b]
+
+
+def test_periodic_ti_on_small_sets_and_unknown_methods(example_set):
+    # the worked set's rows have periods 3, 9 and 27: 9·3 classes, pinning
+    # user 3 and sweeping user 2 in its L lanes
+    verdict = is_ti(example_set, 1, budget=27 * 3 * 27, method="periodic")
+    assert verdict == PropertyVerdict("TI", True, None, 27, 1)
+    with pytest.raises(BudgetExceededError):
+        is_ti(example_set, 1, budget=27 * 3 * 27 - 1, method="periodic")
+    # two users: one block, the pin of period 4, the other of period 3;
+    # the sweep's 3·2·12 slot evaluations are fewer than the pairwise
+    # cross-check's 12^2, which sets the cost
+    trial = sset("100110011001", "010010010010")
+    verdict = is_ti(trial, 1, budget=12 * 12, method="periodic")
+    assert verdict == PropertyVerdict("TI", True, None, 3, 1)
+    assert is_ti(trial, 1).holds
+    with pytest.raises(BudgetExceededError, match="needs 144 slot"):
+        is_ti(trial, 1, budget=12 * 12 - 1, method="periodic")
+    for method in ("Periodic", "", None):
+        with pytest.raises(ValueError, match="unknown TI method"):
+            is_ti(example_set, 1, method=method)
+    with pytest.raises(ValueError):
+        is_ti(example_set, 3, method="periodic")
+    with pytest.raises(ValueError, match="gamma"):
+        is_ti(sset("10"), 1, method="periodic")
 
 
 #: The field width of each period where the width steps, and of L = 1:

@@ -20,6 +20,12 @@ VERDICTS = {
                          [("PAIRWISE_SI", None, False, 2)]),
     (3, "ti"): ([("TI", 1, True, 900), ("TI", 2, True, 900)],
                 [("TI", 1, False, 18), ("TI", 2, False, 18)]),
+    # rows of period 2 and 6 at L = 6, and 2, 6 and 30 at L = 30: the
+    # built set's classes are the product of every period but the longest;
+    # the swapped user 1 has period L, so it is pinned, as in "ti"
+    (2, "ti-periodic"): ([("TI", 1, True, 2)], [("TI", 1, False, 4)]),
+    (3, "ti-periodic"): ([("TI", 1, True, 12), ("TI", 2, True, 12)],
+                         [("TI", 1, False, 18), ("TI", 2, False, 18)]),
 }
 
 
@@ -30,7 +36,7 @@ def test_frontier_settles_the_first_two_rungs(tmp_path):
     record = json.loads(out.read_text())
     assert set(record) == {"environment", "limit_s", "frontier", "table"}
     assert record["limit_s"] == 2
-    legs = ("build-left", "build-random", "cli", "si", "pairwise-si", "ti")
+    legs = ("build-left", "build-random", "cli", "si", "pairwise-si", "ti", "ti-periodic")
     assert record["frontier"] == {leg: {"K": 3, "L": 30} for leg in legs}
     assert [(row["K"], row["L"], len(row["duty"])) for row in record["table"]] == [
         (2, 6, 2), (3, 30, 3)]

@@ -72,6 +72,14 @@ def test_claim_rule_on_recorded_lines(pairs):
     rows = {r["metric"]: r for r in pairs.summarize(failing, RULES)}
     assert rows["fast"]["wins"] == 9 and rows["fast"]["verdict"] == "gain void"
     assert rows["rate"]["verdict"] == "over bound"
+    # three pairs are too few for the claim rule: a gain or a loss in
+    # every pair is unresolved, and only "over bound" still stands
+    short = {r["metric"]: r for r in pairs.summarize(recorded[:3], RULES)}
+    assert (short["fast"]["wins"], short["fast"]["pairs"]) == (3, 3)
+    assert short["fast"]["verdict"] == "unresolved"
+    assert short["rate"]["verdict"] == "over bound"
+    assert pairs.summarize(worse[:3], {})[0]["verdict"] == "unresolved"
+    assert pairs.summarize(failing[:4], RULES)[0]["verdict"] == "unresolved"
     table = pairs.format_rows("w", recorded, pairs.summarize(recorded, RULES))
     assert table.splitlines()[0] == "w: 10 pairs; failed parent 0/100, change 0/100"
     assert table.splitlines()[2].split()[-2:] == ["9/10", "gain"]

@@ -11,10 +11,11 @@ loaded in ``conftest.py``), so every run checks the same sets.
 import dataclasses
 import itertools
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from protoseq import (
     BinarySequence,
@@ -30,11 +31,12 @@ from protoseq import (
     verify_witness,
 )
 from protoseq import reference, simulator
-from protoseq.core import at_most_mask, count_planes
+from protoseq.core import at_most_mask, count_planes, minimal_period
 
 from helpers import (
     first_difference_si,
     first_difference_ti,
+    periodic_first_difference_ti,
     strip_parse_oracle,
     strip_sequence_oracle,
 )
@@ -82,6 +84,52 @@ def test_reversing_one_user_keeps_every_verdict(trial, data):
                 + [is_ti(sset, gamma).holds for gamma in range(1, K)])
 
     assert verdicts(mirrored) == verdicts(trial)
+
+
+@st.composite
+def periodic_rows(draw, period):
+    """A row of ``period`` slots that repeats a block of a drawn divisor
+    of the period."""
+    p = draw(st.sampled_from([d for d in range(1, period + 1) if period % d == 0]))
+    block = draw(st.integers(0, (1 << p) - 1))
+    return BinarySequence.from_mask(sum(block << (p * j) for j in range(period // p)), period)
+
+
+@given(st.integers(1, 36).flatmap(periodic_rows))
+def test_minimal_period_matches_reference(row):
+    assert minimal_period(row.mask, len(row)) == reference.minimal_period(row.bits)
+
+
+@st.composite
+def periodic_row_sets(draw):
+    K = draw(st.integers(2, 4))
+    L = draw(st.integers(1, 18))
+    return SequenceSet(tuple(draw(periodic_rows(L)) for _ in range(K)))
+
+
+@given(periodic_row_sets())
+# no row has the full period: the pin repeats within the period
+@example(SequenceSet.from_strings(["100110011001", "010010010010"]))
+@example(SequenceSet.from_strings(["110011001100", "100100100100", "101101101101"]))
+def test_periodic_ti_matches_exhaustive_verdicts_and_reference_scans(trial):
+    K, L = trial.size, trial.period
+    periods = [reference.minimal_period(seq.bits) for seq in trial.sequences]
+    classes = prod(periods) // max(periods)  # every period but the pin's
+    for gamma in range(1, K):
+        def counts_at(shifts):
+            values = reference.throughput_at(trial, shifts, gamma)
+            return tuple(int(v * L) for v in values)
+
+        verdict = is_ti(trial, gamma, method="periodic")
+        assert verdict == periodic_first_difference_ti(trial, gamma, counts_at)
+        assert verdict.holds == is_ti(trial, gamma).holds
+        if verdict.holds:
+            assert verdict.configurations_checked == classes <= L ** (K - 1)
+        else:
+            assert verify_witness(trial, verdict)
+        if min(periods) == L:
+            # every row of full period: the exhaustive sweep
+            assert verdict == is_ti(trial, gamma)
 
 
 @st.composite

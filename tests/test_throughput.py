@@ -2,18 +2,22 @@ import random
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from protoseq import throughput
+from protoseq import analysis, throughput
 from protoseq import (
+    DEFAULT_BUDGET,
     BinarySequence,
     BudgetExceededError,
     SequenceSet,
+    as_duty_factors,
     consistency_check,
     construct_si,
     curve_csv,
     is_ti,
+    min_period_bound,
     optimal_duty,
     symmetric_throughput,
     throughput_curve,
@@ -21,6 +25,8 @@ from protoseq import (
 )
 
 from helpers import subset_sum_oracle
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 WORKED = ("2/3", "1/3", "1/3")
 
@@ -185,6 +191,34 @@ def test_consistency_with_built_sets():
     assert consistency_check(WORKED, 1, budget=27**2 * 3 * 27)
     with pytest.raises(BudgetExceededError):
         consistency_check(WORKED, 1, budget=27**2 * 3 * 27 - 1)
+
+
+@pytest.mark.parametrize("fill", ["left", "random"])
+def test_consistency_on_both_fills_of_the_sweep_corpus(fill, monkeypatch):
+    # the benchmark's verify-sweep duty lists, built with either fill: the
+    # period-reduced sweep finds every set consistent and reads the counts
+    # of the exhaustive sweep, and a sweep past the budget is refused at
+    # its nominal cost
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import SWEEP_CORPUS
+
+    monkeypatch.setattr(throughput, "construct_si",
+                        lambda duty: construct_si(duty, fill, seed=7))
+    for spec in SWEEP_CORPUS:
+        duty = as_duty_factors(spec)
+        K, L = len(duty), min_period_bound(duty)
+        for gamma in range(1, K):
+            if L ** (K - 1) * K * L > DEFAULT_BUDGET:
+                with pytest.raises(BudgetExceededError):
+                    consistency_check(duty, gamma)
+                continue
+            assert consistency_check(duty, gamma) is True
+            built = throughput.construct_si(duty)
+            sweep = analysis._ti_sweep(built, gamma, DEFAULT_BUDGET)
+            _, counts, difference = analysis._first_difference(sweep)
+            assert difference is None
+            assert analysis._periodic_ti(built, gamma, DEFAULT_BUDGET, nominal=True)[1:] == (
+                counts, None)
 
 
 def test_consistency_fails_on_a_set_that_is_not_ti(monkeypatch):

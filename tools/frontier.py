@@ -22,8 +22,9 @@ further rung.  The legs:
   max(1, K // 2)``, recording each command's seconds and exit code and
   whether a pinned rung's written file has its digest.  Verdict commands
   stay out of it, so the verdict legs' timeouts do not end this one.
-- ``si``, ``pairwise-si`` and ``ti`` (every gamma): the verdict on the
-  left-fill set and on a copy with one 1 and one 0 of user 1 swapped
+- ``si``, ``pairwise-si``, ``ti`` and ``ti-periodic`` (both TI legs at
+  every gamma, the second with ``method="periodic"``): the verdict on
+  the left-fill set and on a copy with one 1 and one 0 of user 1 swapped
   (same weights, neither SI nor pairwise SI; see ``_swapped``).  Each
   verdict runs in its own leg, so a slow one does not hide a fast one.
 
@@ -52,7 +53,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LEGS = ("build-left", "build-random", "cli", "si", "pairwise-si", "ti")
+LEGS = ("build-left", "build-random", "cli", "si", "pairwise-si", "ti", "ti-periodic")
 FILL_SEED = 7
 CALIBRATIONS = 5
 
@@ -138,6 +139,8 @@ def _verdict_leg(duty, leg) -> dict:
         "si": lambda s: [is_si(s, budget=math.inf)],
         "pairwise-si": lambda s: [is_pairwise_si(s, budget=math.inf)],
         "ti": lambda s: [is_ti(s, g, budget=math.inf) for g in range(1, s.size)],
+        "ti-periodic": lambda s: [is_ti(s, g, budget=math.inf, method="periodic")
+                                  for g in range(1, s.size)],
     }[leg]
     verdicts = {}
     for name, sset in (("built", built), ("swapped", _swapped(built))):

@@ -19,9 +19,11 @@ differ by more than the parent's interquartile range, "gain void" when
 that holds but the change failed more jobs in total than the parent,
 "worse" for the same rule the other way, and "over bound" when the
 change's median is worse than the parent's by more than the metric's
-bound.  Where none of these applies and the parent's interquartile range
-is wider than the bound, the verdict is "unresolved", unless every run
-of the change reads better than every run of the parent.  Which way is
+bound.  The rule needs ``MIN_PAIRS`` pairs: with fewer, a "gain", "gain
+void" or "worse" reads "unresolved".  Where none of these applies and the
+parent's interquartile range is wider than the bound, the verdict is
+"unresolved" too, unless every run of the change reads better than
+every run of the parent.  Which way is
 better, and the bounds, come from ``BENCHMARK.json`` in the change's
 checkout (lower is better where it names no metric).  ``--out`` also
 writes every result line and the summaries as JSON.
@@ -39,6 +41,10 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 900
+
+#: The fewest pairs on which the claim rule gives "gain", "gain void" or
+#: "worse".
+MIN_PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, scale: str) -> dict:
@@ -99,6 +105,8 @@ def summarize(pairs: list[tuple[dict, dict]], rules: dict) -> list[dict]:
             verdict = "gain" if change_failed <= parent_failed else "gain void"
         elif 10 * losses >= 9 * n and -gap > q3 - q1:
             verdict = "worse"
+        if verdict != "-" and n < MIN_PAIRS:
+            verdict = "unresolved"
         if "bound" in rule:
             if -gap > rule["bound"] * abs(p_median):
                 verdict = "over bound"
