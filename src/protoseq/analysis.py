@@ -6,10 +6,7 @@ that holds for all pairs, and throughput-invariant (TI) at receiver
 capability gamma when every user's per-period success count is the same
 under all shifts.  The verifiers here enumerate shift space exhaustively
 and return verdicts carrying either a proof of coverage (the number of
-configurations checked) or a concrete counterexample witness.  The TI
-verdict can instead enumerate only the shift classes that the rows'
-minimal periods tell apart (``method="periodic"``), which still cover
-every configuration.
+configurations checked) or a concrete counterexample witness.
 
 Enumeration always pins the first shift of a tuple to zero: adding a
 common offset to all shifts only relabels slots cyclically, so each
@@ -39,10 +36,10 @@ they start over from the all-zero class.
 
 A sweep may also be reduced: each middle member's shift ranges over its
 own range instead of the period, one segment per block.  The TI sweep
-of ``is_ti(method="periodic")`` and ``throughput.consistency_check``
-(``_periodic_ti``) is one: a configuration depends on each shift only
-modulo its row's minimal period, so the product of those periods, over
-all users but one pinned, covers every configuration.
+of ``throughput.consistency_check`` (``_periodic_ti``) is one: a
+configuration depends on each shift only modulo its row's minimal
+period, so the product of those periods, over all users but one pinned,
+covers every configuration.
 
 Two scores fill the sweep: the tuple's correlation (``_correlation``)
 and the per-user success counts of the TI sweep (``_ti_sweep``).  One
@@ -486,23 +483,24 @@ _REFUSAL = "{need} {amount} slot evaluations, budget is {limit}"
 
 
 
-def _ti_sweep(
-    sset: SequenceSet,
-    gamma: int,
-    budget: int,
-    order: Sequence[int] | None = None,
-    ranges: Sequence[int] | None = None,
-    cost: int | None = None,
-) -> Iterator[_Block]:
-    """Per-user success counts at every shift class, first shift pinned to zero.
+def _check_ti(K: int, L: int, gamma: int, budget: int) -> None:
+    """Check the capability, and refuse a TI sweep of K users at period L
+    past the budget: the exhaustive sweep's L^(K-1)·K·L slot evaluations."""
+    validate_gamma(gamma, K)
+    refuse_past(L ** (K - 1) * K * L, budget, _REFUSAL, need="TI verification needs")
 
-    The blocks of ``_Lanes.sweep`` over the set's users, in user order or
-    in ``order`` (user indices from 0), with ``ranges`` as the sweep takes
-    them; ``columns[i]`` packs member i+1's success counts with the last
-    member at every shift, shift t in field L - 1 - t of a segment.  The
-    capability and the budget, ``cost`` or the exhaustive sweep's
-    L^(K-1)·K·L slot evaluations, are checked on the call, before any
-    layout is built.
+
+def _ti_sweep(
+    masks: Sequence[int], L: int, gamma: int, ranges: Sequence[int] | None = None
+) -> Iterator[_Block]:
+    """Per-member success counts at every shift class, first shift pinned
+    to zero.
+
+    The blocks of ``_Lanes.sweep`` over ``masks``, two or more schedules
+    of period L, with ``ranges`` as the sweep takes them; ``columns[i]``
+    packs member i+1's success counts with the last member at every
+    shift, shift t in field L - 1 - t of a segment.  Callers check the
+    capability and the budget first (``_check_ti``).
 
     The score counts all members but the last once per block: a slot
     where at most gamma - 1 of them fire (``room``) lets every packet
@@ -513,13 +511,6 @@ def _ti_sweep(
     together.  One product per member then scores every shift of the
     last member at once.
     """
-    K = sset.size
-    L = sset.period
-    validate_gamma(gamma, K)
-    if cost is None:
-        cost = L ** (K - 1) * K * L
-    refuse_past(cost, budget, _REFUSAL, need="TI verification needs")
-    masks = sset.masks if order is None else [sset.masks[u] for u in order]
 
     def score(
         shape: _Lanes | _Row, first: int, rotated: Sequence[int], last: int
@@ -541,7 +532,7 @@ def _ti_sweep(
 
 
 def _periodic_ti(
-    sset: SequenceSet, gamma: int, budget: int, nominal: bool = False
+    sset: SequenceSet, gamma: int, budget: int
 ) -> tuple[int, list[int], tuple[int, tuple[int, ...], int] | None]:
     """The period-reduced TI sweep, read by ``_first_difference`` in user
     order.
@@ -562,27 +553,22 @@ def _periodic_ti(
     user's count at the all-zero class, and None when every class
     matches it; otherwise ``(i, shifts, value)``, the first differing
     class in mixed radix: user i+1 counts ``value`` at ``shifts``, one
-    shift per user.  The budget is the classes' ∏ p_u·K·L slot
-    evaluations, or the C(K, 2)·L^2 of ``is_ti``'s pairwise cross-check
-    where that is more; with ``nominal`` it is the exhaustive sweep's
-    L^(K-1)·K·L.
+    shift per user.  The capability and the budget are checked before
+    any period is found, at the exhaustive sweep's nominal cost
+    (``_check_ti``).
     """
     K = sset.size
     L = sset.period
-    validate_gamma(gamma, K)  # a single user has no pin and last member
+    _check_ti(K, L, gamma, budget)
     periods = [minimal_period(m, L) for m in sset.masks]
     pin = periods.index(max(periods))
     rest = [u for u in range(K) if u != pin]
     last = max(reversed(rest), key=periods.__getitem__)
     order = [pin, *[u for u in rest if u != last], last]
     radices = [periods[u] for u in order[1:]]
-    # the pairwise cross-check of a positive ``is_ti`` verdict costs
-    # C(K, 2)·L^2, within the exhaustive sweep's cost but not always
-    # within this one's, and is refused here rather than after the sweep
-    cost = None if nominal else max(prod(radices) * K * L, comb(K, 2) * L * L)
     # a sweep whose middle members all range over the period is a full one
     ranges = radices[:-1] if min(radices[:-1], default=L) < L else None
-    blocks = _ti_sweep(sset, gamma, budget, order=order, ranges=ranges, cost=cost)
+    blocks = _ti_sweep([sset.masks[u] for u in order], L, gamma, ranges)
     checked, counts, difference = _first_difference(blocks, radices)
     first = [0] * K
     for u, c in zip(order, counts):
@@ -733,53 +719,27 @@ def correlation_values(sset: SequenceSet, users: Sequence[int]) -> set[int]:
     return values
 
 
-#: The methods of ``is_ti``; the first is the default.
-TI_METHODS = ("exhaustive", "periodic")
-
-
 def is_ti(
-    sset: SequenceSet,
-    gamma: int,
-    budget: int = DEFAULT_BUDGET,
-    method: str = "exhaustive",
+    sset: SequenceSet, gamma: int, budget: int = DEFAULT_BUDGET
 ) -> PropertyVerdict:
     """Verify that per-user throughput is the same at every shift assignment.
 
-    The default ``method="exhaustive"`` enumerates all L^(K-1) shift
-    classes with the first user's shift pinned to zero, at a cost of
-    L^(K-1)·K·L slot evaluations.  ``method="periodic"`` enumerates the
-    ∏ p_u classes of the period-reduced sweep (``_periodic_ti``), which
-    cover every configuration: p_u is user u's minimal period and the
-    product runs over all users but the one pinned.  Its cost is
-    ∏ p_u·K·L, or the pairwise cross-check's C(K, 2)·L^2 where that is
-    more; its ``configurations_checked`` counts those classes, and a
-    negative verdict may name another witness than the exhaustive one,
-    which ``verify_witness`` re-checks as any other.
-
-    When the verdict is positive and every throughput is strictly
+    Enumerates all shift classes with the first user's shift pinned to
+    zero.  When the verdict is positive and every throughput is strictly
     positive, the pairwise shift-invariance that such a set must exhibit
     is re-verified; a failure there signals an internal fault and
     raises.  Sets with a zero-throughput user can be TI without being
     pairwise SI (a silent user is trivially invariant), so the
-    cross-check does not apply to them.  An unknown method raises
-    ``ValueError``.
+    cross-check does not apply to them.
     """
     K = sset.size
     L = sset.period
-    if method == "exhaustive":
-        checked, first, difference = _first_difference(_ti_sweep(sset, gamma, budget))
-        if difference is not None:
-            outer, i, t, value = difference
-            shifts = (0, *outer, t)
-    elif method == "periodic":
-        checked, first, difference = _periodic_ti(sset, gamma, budget)
-        if difference is not None:
-            i, shifts, value = difference
-    else:
-        raise ValueError(f"unknown TI method {method!r}; use one of {TI_METHODS}")
+    _check_ti(K, L, gamma, budget)
+    checked, first, difference = _first_difference(_ti_sweep(sset.masks, L, gamma))
     if difference is not None:
+        outer, i, t, value = difference
         values = Fraction(first[i], L), Fraction(value, L)
-        witness = Witness((i + 1,), (0,) * K, shifts, *values)
+        witness = Witness((i + 1,), (0,) * K, (0, *outer, t), *values)
         return PropertyVerdict("TI", False, witness, checked, gamma)
     if all(v > 0 for v in first):
         pairwise = is_pairwise_si(sset, budget=budget)

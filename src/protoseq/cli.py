@@ -160,9 +160,7 @@ def _cmd_verify(args) -> int:
     if prop == "ti":
         if args.gamma is None:
             raise ValueError("--gamma is required for property 'ti'")
-        verdict = analysis.is_ti(sset, args.gamma, budget=args.budget, method=args.method)
-    elif args.method != "exhaustive":
-        raise ValueError(f"--method {args.method} applies only to property 'ti'")
+        verdict = analysis.is_ti(sset, args.gamma, budget=args.budget)
     elif prop == "si":
         verdict = analysis.is_si(sset, budget=args.budget)
     else:
@@ -409,9 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True, choices=("si", "pairwise-si", "ti"))
     p.add_argument("--gamma", type=int, default=None)
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--method", choices=analysis.TI_METHODS, default=analysis.TI_METHODS[0],
-                   help="ti only: sweep every shift class, or only those that the "
-                   "rows' minimal periods tell apart")
     p.add_argument("file", help="sequence set file ('-' for stdin)")
     p.set_defaults(func=_cmd_verify)
 

@@ -16,7 +16,7 @@ from math import comb, inf, prod
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .core import DEFAULT_BUDGET, MAX_ENTRIES, refuse_past, validate_gamma
-from .analysis import _first_difference, _periodic_ti, _ti_sweep
+from .analysis import _periodic_ti
 from .construction import as_duty_factors, construct_si
 
 if TYPE_CHECKING:
@@ -152,22 +152,19 @@ def consistency_check(
     ``is_ti`` asks: True iff every user's success count is the same at
     every shift configuration and that count, as a fraction of the
     period, is the closed form.  Row i of a built set repeats with period
-    d_1⋯d_i at most, so the sweep is the period-reduced one of
-    ``is_ti(method="periodic")``: ∏ p_u classes that cover every
-    configuration, not the L^(K-1) of the exhaustive sweep.  Two users
-    are one block of L classes either way, so their sweep is the
-    exhaustive one.  The refusal stays at the exhaustive sweep's nominal
-    cost, L^(K-1)·K·L slot evaluations, as ``is_ti``'s default.  The duty
-    factors are checked once; the build and the closed form get the
-    checked Fractions, which ``as_duty_factors`` passes through as they
-    are.
+    d_1⋯d_i at most, so the sweep is the period-reduced one
+    (``analysis._periodic_ti``): not the L^(K-1) classes of the
+    exhaustive sweep, but the ∏ p_u classes that the rows' minimal
+    periods tell apart, which cover every configuration.  The refusal
+    stays at the exhaustive sweep's nominal cost, L^(K-1)·K·L slot
+    evaluations, as ``is_ti``'s, and comes before any period is found.
+    The duty factors are checked once; the build and the closed form get
+    the checked Fractions, which ``as_duty_factors`` passes through as
+    they are.
     """
     duty = as_duty_factors(duty)
     sset = construct_si(duty)
-    if sset.size > 2:
-        _, first, difference = _periodic_ti(sset, gamma, budget, nominal=True)
-    else:
-        _, first, difference = _first_difference(_ti_sweep(sset, gamma, budget))
+    _, first, difference = _periodic_ti(sset, gamma, budget)
     counts = tuple(Fraction(c, sset.period) for c in first)
     return difference is None and counts == ti_throughput(duty, gamma).per_user
 

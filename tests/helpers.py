@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from protoseq import (
+    DEFAULT_BUDGET,
     BinarySequence,
     PropertyVerdict,
     SearchResult,
@@ -119,8 +120,21 @@ def first_difference_ti(sset, gamma, counts_at):
     return PropertyVerdict("TI", True, None, checked, gamma)
 
 
+def periodic_verdict(sset, gamma, budget=DEFAULT_BUDGET):
+    """``analysis._periodic_ti`` as a TI verdict: its classes checked, and
+    a witness in user order at its first differing class."""
+    checked, first, difference = analysis._periodic_ti(sset, gamma, budget)
+    if difference is None:
+        return PropertyVerdict("TI", True, None, checked, gamma)
+    i, shifts, value = difference
+    L = sset.period
+    witness = Witness((i + 1,), (0,) * sset.size, shifts,
+                      Fraction(first[i], L), Fraction(value, L))
+    return PropertyVerdict("TI", False, witness, checked, gamma)
+
+
 def periodic_first_difference_ti(sset, gamma, counts_at):
-    """``is_ti(method="periodic")`` verdict of a brute-force scan.
+    """``periodic_verdict`` of a brute-force scan.
 
     Each row's minimal period p_u comes from ``reference.minimal_period``.
     The lowest-numbered user of longest period is pinned at shift 0, the

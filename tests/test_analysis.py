@@ -47,6 +47,7 @@ from helpers import (
     config_constancy_si_oracle,
     first_difference_si,
     first_difference_ti,
+    periodic_verdict,
     random_set,
     search_oracle,
     structural_regimes_oracle,
@@ -296,7 +297,7 @@ def test_ti_sweep_matches_direct_counts_and_first_difference_scan():
         L = trial.period
         for gamma in range(1, K):
             counts_at = _direct_counts(trial, gamma)
-            blocks = list(analysis._ti_sweep(trial, gamma, DEFAULT_BUDGET))
+            blocks = list(analysis._ti_sweep(trial.masks, trial.period, gamma))
             # every segment holds each user's counts at the last user's L
             # shifts, checked here against directly rotated masks
             segments = [seg for block in blocks for seg in unpack_block(block, L)]
@@ -325,7 +326,7 @@ def test_reduced_sweep_runs_one_segment_per_block_in_mixed_radix():
     L = 12
     trial = sset("110011001100", "100100100100", "101101101101", "100000100000")
     for ranges in ((4, 3), (1, 12), (12, 1)):
-        blocks = list(analysis._ti_sweep(trial, 1, DEFAULT_BUDGET, ranges=ranges))
+        blocks = list(analysis._ti_sweep(trial.masks, L, 1, ranges))
         assert [middle for middle, _, _ in blocks] == list(
             itertools.product(*map(range, ranges)))
         assert all(shape is analysis._lanes(L) for _, shape, _ in blocks)
@@ -347,16 +348,14 @@ def test_periodic_ti_settles_the_built_five_user_rung():
     built = construct_si(RUNG_5)
     L = built.period
     assert L == 2310
-    cost = RUNG_5_CLASSES * 5 * L
-    verdict = is_ti(built, 4, budget=cost, method="periodic")
+    verdict = periodic_verdict(built, 4, math.inf)
     assert verdict == PropertyVerdict("TI", True, None, RUNG_5_CLASSES, 4)
+    # the refusal is the exhaustive sweep's L^4·K·L
+    cost = L**4 * 5 * L
     with pytest.raises(BudgetExceededError) as exc:
-        is_ti(built, 4, budget=cost - 1, method="periodic")
+        analysis._periodic_ti(built, 4, cost - 1)
     assert str(exc.value) == (
         f"TI verification needs {cost} slot evaluations, budget is {cost - 1}")
-    # the exhaustive sweep of the same set costs L^4·K·L
-    with pytest.raises(BudgetExceededError, match=f"needs {L**4 * 5 * L} slot"):
-        is_ti(built, 4, budget=cost)
     # user 1 moves a one into the zero after it: the same weights, not TI
     mask = built.masks[0]
     t = (mask & ~rotate_mask(mask, 1, L)).bit_length() - 1  # a one before a zero
@@ -365,7 +364,7 @@ def test_periodic_ti_settles_the_built_five_user_rung():
     # user 1 now has period L, so users 1 and 5 both do; at gamma = 4 the
     # first difference lies past 6,000 blocks, a few seconds in
     for gamma in range(1, 4):
-        verdict = is_ti(swapped, gamma, budget=math.inf, method="periodic")
+        verdict = periodic_verdict(swapped, gamma, math.inf)
         assert not verdict.holds and verify_witness(swapped, verdict)
         w = verdict.witness
         i = w.users[0] - 1
@@ -373,29 +372,28 @@ def test_periodic_ti_settles_the_built_five_user_rung():
                 for s in (w.shifts_a, w.shifts_b)] == [w.value_a, w.value_b]
 
 
-def test_periodic_ti_on_small_sets_and_unknown_methods(example_set):
+def test_periodic_ti_on_small_sets_and_its_checks(example_set, monkeypatch):
     # the worked set's rows have periods 3, 9 and 27: 9·3 classes, pinning
     # user 3 and sweeping user 2 in its L lanes
-    verdict = is_ti(example_set, 1, budget=27 * 3 * 27, method="periodic")
-    assert verdict == PropertyVerdict("TI", True, None, 27, 1)
-    with pytest.raises(BudgetExceededError):
-        is_ti(example_set, 1, budget=27 * 3 * 27 - 1, method="periodic")
-    # two users: one block, the pin of period 4, the other of period 3;
-    # the sweep's 3·2·12 slot evaluations are fewer than the pairwise
-    # cross-check's 12^2, which sets the cost
+    nominal = 27**2 * 3 * 27
+    assert periodic_verdict(example_set, 1, nominal) == PropertyVerdict(
+        "TI", True, None, 27, 1)
+    # two users: one block, the pin of period 4, the other of period 3
     trial = sset("100110011001", "010010010010")
-    verdict = is_ti(trial, 1, budget=12 * 12, method="periodic")
-    assert verdict == PropertyVerdict("TI", True, None, 3, 1)
+    assert periodic_verdict(trial, 1) == PropertyVerdict("TI", True, None, 3, 1)
     assert is_ti(trial, 1).holds
-    with pytest.raises(BudgetExceededError, match="needs 144 slot"):
-        is_ti(trial, 1, budget=12 * 12 - 1, method="periodic")
-    for method in ("Periodic", "", None):
-        with pytest.raises(ValueError, match="unknown TI method"):
-            is_ti(example_set, 1, method=method)
+    # the capability and the nominal budget are checked before any
+    # minimal period is found
+    def no_periods(mask, period):
+        raise AssertionError("a minimal period was found")
+
+    monkeypatch.setattr(analysis, "minimal_period", no_periods)
+    with pytest.raises(BudgetExceededError, match=f"needs {nominal} slot"):
+        analysis._periodic_ti(example_set, 1, nominal - 1)
     with pytest.raises(ValueError):
-        is_ti(example_set, 3, method="periodic")
+        analysis._periodic_ti(example_set, 3, DEFAULT_BUDGET)
     with pytest.raises(ValueError, match="gamma"):
-        is_ti(sset("10"), 1, method="periodic")
+        analysis._periodic_ti(sset("10"), 1, DEFAULT_BUDGET)
 
 
 #: The field width of each period where the width steps, and of L = 1:
@@ -425,7 +423,7 @@ def test_lane_columns_at_the_field_width_boundary(L):
             (BinarySequence.from_mask(a, L), BinarySequence.from_mask(b, L))
         )
         counts_at = _direct_counts(trial, 1)
-        [(outer, shape, columns)] = analysis._ti_sweep(trial, 1, DEFAULT_BUDGET)
+        [(outer, shape, columns)] = analysis._ti_sweep(trial.masks, trial.period, 1)
         assert outer == () and shape is lanes
         columns = [unpack_column(c, L) for c in columns]
         assert [counts_at((0, t)) for t in range(L)] == list(zip(*columns))
@@ -476,7 +474,7 @@ def _difference_places(trial, gamma):
     places = {"first block" if not any(middle) else
               "first row" if not any(middle[:-1]) else "later row"}
     L = trial.period
-    blocks = analysis._ti_sweep(trial, gamma, DEFAULT_BUDGET)
+    blocks = analysis._ti_sweep(trial.masks, trial.period, gamma)
     [(_, zero)] = unpack_block(next(blocks), L)
     for block in blocks:
         if not isinstance(block[1], analysis._Row):

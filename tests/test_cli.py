@@ -146,49 +146,6 @@ def test_verify_matches_its_pinned_digests(
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_verify_method_exhaustive_is_the_default_and_keeps_the_pins(capsys, pinned_sets):
-    # the default's bytes are pinned above; naming it changes nothing
-    for name, args, status, digest in VERIFY_PINS:
-        if args[0] != "ti":
-            continue
-        code, out, _ = run_cli(capsys, "verify", "--property", *args, "--method",
-                               "exhaustive", str(pinned_sets[name]))
-        assert code == status
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("name, status, classes", [
-    ("rows", 0, 2 * 4 * 8),  # rows of period 2, 4, 8 and 24
-    ("swapped", 1, None),
-    ("rows36", 0, 3 * 6 * 18),  # rows of period 3, 6, 18 and 36
-    ("swapped36", 1, None),
-])
-def test_verify_method_periodic_sweeps_the_period_classes(
-    capsys, pinned_sets, name, status, classes
-):
-    path = pinned_sets[name]
-    code, payload, err = run_json(capsys, "verify", "--property", "ti", "--gamma", "2",
-                                  "--method", "periodic", str(path))
-    assert code == status, err
-    sset = parse_sequence_set(path.read_text())
-    verdict = analysis.is_ti(sset, 2, method="periodic")
-    assert payload["holds"] is verdict.holds
-    assert payload["configurations_checked"] == verdict.configurations_checked
-    if classes is not None:
-        assert verdict.configurations_checked == classes
-    else:
-        assert analysis.verify_witness(sset, verdict)
-        assert payload["witness"]["shifts_b"] == list(verdict.witness.shifts_b)
-
-
-@pytest.mark.parametrize("prop", ["si", "pairwise-si"])
-def test_verify_method_periodic_is_for_ti_only(capsys, worked_file, prop):
-    code, out, err = run_cli(capsys, "verify", "--property", prop, "--method",
-                             "periodic", worked_file)
-    assert (code, out) == (2, "")
-    assert err == "error: --method periodic applies only to property 'ti'\n"
-
-
 def test_verify_ti_violation_exits_one(capsys, tmp_path):
     path = tmp_path / "pair.psq"
     path.write_text("10\n10\n")
@@ -607,7 +564,6 @@ def test_only_monte_carlo_and_duty_search_load_numpy(worked_file):
         ["throughput", *duty, "--gamma", "2"],
         ["curve", "--users", "2..6", "--gamma", "1,2", "--f", "1/3"],
         ["verify", "--property", "ti", "--gamma", "1", worked_file],
-        ["verify", "--property", "ti", "--gamma", "2", "--method", "periodic", worked_file],
         ["verify", "--property", "si", worked_file],
         ["verify", "--property", "pairwise-si", "-"],
         *(str(ROOT / "demos" / name) for name in
@@ -616,7 +572,7 @@ def test_only_monte_carlo_and_duty_search_load_numpy(worked_file):
     )
     assert free == [(step, set()) for step in (
         "import False", "example 0", "construct 0", "bound 0", "throughput 0",
-        "curve 0", "verify 0", "verify 0", "verify 0", "verify 0",
+        "curve 0", "verify 0", "verify 0", "verify 0",
         "01_worked_example.py", "03_period_bounds.py", "06_structure.py",
     )]
     assert label == "simulate 0" and "numpy" in loaded
@@ -919,8 +875,7 @@ FUZZED_ARGV = {
     "verify": command_argv(
         "verify", [("--property", st.sampled_from(["si", "pairwise-si", "ti", "x"]))],
         [("--gamma", _GAMMA),
-         ("--budget", st.sampled_from(["1", "1000", "100000000", "0", "-5", "1e3"])),
-         ("--method", st.sampled_from(["exhaustive", "periodic", "x"]))],
+         ("--budget", st.sampled_from(["1", "1000", "100000000", "0", "-5", "1e3"]))],
     ),
     "throughput": command_argv("throughput", [("--duty", _DUTIES), ("--gamma", _GAMMA)]),
     "optimal-f": command_argv(

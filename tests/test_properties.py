@@ -37,6 +37,7 @@ from helpers import (
     first_difference_si,
     first_difference_ti,
     periodic_first_difference_ti,
+    periodic_verdict,
     strip_parse_oracle,
     strip_sequence_oracle,
 )
@@ -120,7 +121,7 @@ def test_periodic_ti_matches_exhaustive_verdicts_and_reference_scans(trial):
             values = reference.throughput_at(trial, shifts, gamma)
             return tuple(int(v * L) for v in values)
 
-        verdict = is_ti(trial, gamma, method="periodic")
+        verdict = periodic_verdict(trial, gamma)
         assert verdict == periodic_first_difference_ti(trial, gamma, counts_at)
         assert verdict.holds == is_ti(trial, gamma).holds
         if verdict.holds:

@@ -214,11 +214,10 @@ def test_consistency_on_both_fills_of_the_sweep_corpus(fill, monkeypatch):
                 continue
             assert consistency_check(duty, gamma) is True
             built = throughput.construct_si(duty)
-            sweep = analysis._ti_sweep(built, gamma, DEFAULT_BUDGET)
+            sweep = analysis._ti_sweep(built.masks, L, gamma)
             _, counts, difference = analysis._first_difference(sweep)
             assert difference is None
-            assert analysis._periodic_ti(built, gamma, DEFAULT_BUDGET, nominal=True)[1:] == (
-                counts, None)
+            assert analysis._periodic_ti(built, gamma, DEFAULT_BUDGET)[1:] == (counts, None)
 
 
 def test_consistency_fails_on_a_set_that_is_not_ti(monkeypatch):

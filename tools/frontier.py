@@ -23,10 +23,12 @@ further rung.  The legs:
   whether a pinned rung's written file has its digest.  Verdict commands
   stay out of it, so the verdict legs' timeouts do not end this one.
 - ``si``, ``pairwise-si``, ``ti`` and ``ti-periodic`` (both TI legs at
-  every gamma, the second with ``method="periodic"``): the verdict on
-  the left-fill set and on a copy with one 1 and one 0 of user 1 swapped
-  (same weights, neither SI nor pairwise SI; see ``_swapped``).  Each
-  verdict runs in its own leg, so a slow one does not hide a fast one.
+  every gamma; the second reads ``analysis._periodic_ti``, the
+  period-reduced sweep of ``throughput.consistency_check``, with no
+  pairwise cross-check): the verdict on the left-fill set and on a copy
+  with one 1 and one 0 of user 1 swapped (same weights, neither SI nor
+  pairwise SI; see ``_swapped``).  Each verdict runs in its own leg, so a
+  slow one does not hide a fast one.
 
 Each cell records its seconds, peak RSS, and each verdict with its
 ``configurations_checked``.  Seconds are given as measured and scaled to
@@ -133,24 +135,28 @@ def _cli_leg(duty, pinned) -> dict:
 
 def _verdict_leg(duty, leg) -> dict:
     from protoseq import construct_si, is_pairwise_si, is_si, is_ti
+    from protoseq.analysis import _periodic_ti
+
+    def periodic(s, g):
+        checked, _, difference = _periodic_ti(s, g, math.inf)
+        return {"prop": "TI", "gamma": g, "holds": difference is None,
+                "configurations_checked": checked}
+
+    def record(v):
+        return {"prop": v.prop, "gamma": v.gamma, "holds": v.holds,
+                "configurations_checked": v.configurations_checked}
 
     built = construct_si(duty)
     calls = {
-        "si": lambda s: [is_si(s, budget=math.inf)],
-        "pairwise-si": lambda s: [is_pairwise_si(s, budget=math.inf)],
-        "ti": lambda s: [is_ti(s, g, budget=math.inf) for g in range(1, s.size)],
-        "ti-periodic": lambda s: [is_ti(s, g, budget=math.inf, method="periodic")
-                                  for g in range(1, s.size)],
+        "si": lambda s: [record(is_si(s, budget=math.inf))],
+        "pairwise-si": lambda s: [record(is_pairwise_si(s, budget=math.inf))],
+        "ti": lambda s: [record(is_ti(s, g, budget=math.inf)) for g in range(1, s.size)],
+        "ti-periodic": lambda s: [periodic(s, g) for g in range(1, s.size)],
     }[leg]
     verdicts = {}
     for name, sset in (("built", built), ("swapped", _swapped(built))):
-        found, seconds = _timed(calls, sset)
-        verdicts[name] = {
-            "seconds": seconds,
-            "results": [{"prop": v.prop, "gamma": v.gamma, "holds": v.holds,
-                         "configurations_checked": v.configurations_checked}
-                        for v in found],
-        }
+        results, seconds = _timed(calls, sset)
+        verdicts[name] = {"seconds": seconds, "results": results}
     return {"verdicts": verdicts}
 
 
