@@ -25,10 +25,11 @@ differences of its popcounts at successive limits.
 
 A rotation by tau is one rule: the window at bit tau of the mask written
 twice, ``mask | mask << L`` (``rotate_mask``); a schedule's minimal
-period is the least rotation that keeps it (``minimal_period``).  ``_overlap`` is the only
-AND of rotated masks, the slots where every member of a shifted tuple
-transmits; ``hamming_cross_correlation``, ``count_config`` and the SI
-witness re-check of ``analysis.verify_witness`` all read it.
+period is the least rotation that keeps it (``minimal_period``).
+``_overlap`` is the only AND of rotated masks, the slots where every
+member of a shifted tuple transmits; ``hamming_cross_correlation``,
+``count_config`` and the SI witness re-check of
+``analysis.verify_witness`` all read it.
 """
 
 from __future__ import annotations
